@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import eval_even, evaluate
+from .engine import _even_m, eval_even, evaluate
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -90,10 +90,7 @@ def _parse_policy(text: str) -> TruncationPolicy:
 
 def _resolve_method(name: str, w: float) -> MethodChoice:
     if name == "auto":
-        m = round(w / 2.0)
-        if m >= 1 and abs(w - 2.0 * m) <= 1e-9:
-            return MethodChoice.EVEN_TRANSFORM
-        return MethodChoice.GENERIC
+        return MethodChoice.GENERIC if _even_m(w) is None else MethodChoice.EVEN_TRANSFORM
     return _METHOD_NAMES[name]
 
 
@@ -101,12 +98,15 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _least_tail_indices(ev: Evaluation) -> list[tuple[str, int]]:
-    return [
-        (name, ev.term_log.least_index(name))
-        for name in ev.term_log.series_names()
-        if name.startswith("j[")
-    ]
+def _tail_j0(ev: Evaluation) -> dict[str, int]:
+    """j0 of each tail-factor series, keyed by series name: the last
+    included index, the least-term index under optimal truncation.
+    The log of a tail factor ends with its first omitted term."""
+    j0 = {}
+    for name, index, _ in ev.term_log.entries:
+        if name.startswith("j["):
+            j0[name] = index - 1
+    return j0
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"err_estimate  {ev.err_estimate:.6e}")
     terms = " ".join(f"{k}={v}" for k, v in sorted(ev.terms_used.items()))
     print(f"terms         {terms}")
-    for name, j0 in _least_tail_indices(ev):
+    for name, j0 in _tail_j0(ev).items():
         print(f"j0 {name:<10} {j0}")
     if ev.near_odd_warning:
         print("warning       w is within 0.05 of an odd integer: expect cancellation,")
@@ -174,7 +174,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         ref = direct_sum(spec)
         ev = eval_even(spec, 2, OPTIMAL, n_max=1)
         err = abs(ev.value - ref.value)
-        j0 = ev.terms_used["j"] - 1
+        j0 = _tail_j0(ev)["j[n=1]"]
         flag = "ok" if row.reachable else "binary64-noise"
         results.append((row, ref, ev, err, j0, flag))
         print(
@@ -258,7 +258,7 @@ def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, ep
         terms_k = str(used["k"])
         terms_j = str(used["j"])
         terms_n = str(used["n"])
-        j0 = str(used["j"] - 1)
+        j0 = str(_tail_j0(ev)["j[n=1]"])
     elif method is MethodChoice.GENERIC:
         terms_k, terms_j, terms_n, j0 = str(used["k"]), "", "", ""
     elif method is MethodChoice.CLASSICAL_PJ:

@@ -1,6 +1,6 @@
 """Expansion engine for sum_{n>=1} exp(-a n^2) / n^w as a -> 0.
 
-Three routes, all valid in the sector Re(a) > 0:
+Routes besides the direct oracle, all valid in the sector Re(a) > 0:
 
 * classical_pj_rhs -- the classical Poisson-Jacobi identity for w = 0
   (exact, not asymptotic): the Gaussian sum equals
@@ -11,8 +11,7 @@ Three routes, all valid in the sector Re(a) > 0:
       S = singular_term + sum'_k (-1)^k zeta(w - 2k) a^k / k!
 
   where the primed sum omits k = m when w = 2m+1 (that contribution
-  moves into the singular term, which then carries log a).  The k-sum
-  diverges; truncation policies implement the usual least-term rules.
+  moves into the singular term, which then carries log a).
 
 * eval_even -- for w = 2m the zeta factors terminate the k-sum at
   k = m and the expansion closes into a transformation of
@@ -20,6 +19,7 @@ Three routes, all valid in the sector Re(a) > 0:
   exp(-pi^2 n^2 / a), each dual term decorated by an asymptotic
   series tail_factor(a; m, n) with inverse-factorial coefficients.
 
+The k-sum and the tail-factor series diverge; ``_truncate`` cuts both.
 Everything is pure and thread safe.  Series caps can be overridden
 with the THETA_SUM_MAX_TERMS environment variable (read per call).
 """
@@ -30,7 +30,7 @@ import cmath
 import math
 import os
 import statistics
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .compensated import ComplexSum
 from .errors import (
@@ -157,11 +157,80 @@ def classical_pj_rhs(a: complex, n_max: int) -> complex:
     if not a.real > 0.0:
         raise DomainError(f"classical_pj_rhs requires Re(a) > 0, got a = {a}")
     _require_positive_int(n_max, "n_max")
+    return _evaluate_classical(a, n_max).value
+
+
+def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
+    # n_max=None: stop once the first omitted dual term is below 1e-17
+    # of the value, capped at the n-series cap
     root = cmath.sqrt(cmath.pi / a)
+    abs_root = abs(root)
+    re_inv = (1.0 / a).real
+    log = TermLog()
     dual = ComplexSum()
-    for n in range(1, n_max + 1):
-        dual.add(cmath.exp(-_PI2 * n * n / a))
-    return 0.5 * root - 0.5 + root * dual.value
+    head = 0.5 * root - 0.5
+    for n in range(1, (_caps().n if n_max is None else n_max) + 1):
+        term = root * cmath.exp(-_PI2 * n * n / a)
+        log.log("n", n, abs(term))
+        dual.add(term)
+        expo = -_PI2 * (n + 1) * (n + 1) * re_inv
+        next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
+        if n_max is None and next_mag < 1e-17 * abs(head + dual.value):
+            break
+    return Evaluation(
+        value=head + dual.value,
+        method=MethodChoice.CLASSICAL_PJ,
+        terms_used={"n": n},
+        err_estimate=next_mag,
+        term_log=log,
+    )
+
+
+# ----------------------------------------------------------------------
+# least-term truncation of a divergent series
+# ----------------------------------------------------------------------
+
+
+def _truncate(
+    terms: Iterator[tuple[complex, float]],
+    policy: TruncationPolicy,
+    cap: int,
+    acc: ComplexSum,
+    *,
+    lead: Optional[complex] = None,
+    rel_floor: float = 0.0,
+) -> tuple[int, Optional[complex], float]:
+    """Add (term, magnitude) pairs from ``terms`` to ``acc`` until
+    ``policy`` stops; returns (added, least, last magnitude computed).
+
+    Each term is held back until the next one is computed.  If the next
+    is no smaller, the held term is the least term (first local minimum,
+    ties toward the smaller index): it is left out and returned as
+    ``least``, and a series that includes its least term adds it back.
+    The held term is also left out once it is <= eps (ErrorTarget),
+    below rel_floor * |acc|, or when the policy's cap (at most ``cap``)
+    terms are in.  Fixed has no least-term or floor stop.  ``lead`` is
+    held from the start untested: a leading term that is always kept.
+    """
+    eps = -1.0
+    least_rule = True
+    if isinstance(policy, Fixed):
+        cap, least_rule, rel_floor = min(policy.count, cap), False, 0.0
+    elif isinstance(policy, ErrorTarget):
+        cap, eps = min(policy.cap, cap), policy.eps
+    added = 0
+    held = lead
+    held_mag = 0.0 if lead is None else abs(lead)
+    for term, mag in terms:
+        if held is not None:
+            if least_rule and mag >= held_mag:
+                return added, held, mag
+            acc.add(held)
+            added += 1
+        held, held_mag = term, mag
+        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(acc.value)):
+            return added, None, mag
+    raise AssertionError("series terms are an endless stream")
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +274,10 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
     singular_term + sum'_k (-1)^k zeta(w - 2k) a^k / k!, the primed
     sum omitting k = m when w = 2m+1.  Truncation under
     OptimalFirstMin stops just *before* the least term, so
-    err_estimate is the least term itself.  The scan also stops once
-    terms drop below 1e-18 of the accumulated value: past that point
-    further terms cannot change the result at binary64.
+    err_estimate is the least term itself; under the other policies it
+    is the first omitted term.  The scan also stops once terms drop
+    below 1e-18 of the accumulated value: past that point further
+    terms cannot change the result at binary64.
     """
     a, w = spec.a, spec.w
     if w <= 0.0:
@@ -216,63 +286,30 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         raise EvenExponentError(
             f"w = {w} is an even integer; use the even-exponent transformation"
         )
-    m_skip = _odd_m(w)
-    caps = _caps()
     log = TermLog()
+
+    def terms() -> Iterator[tuple[complex, float]]:
+        m_skip = _odd_m(w)
+        apow: complex = 1.0 + 0j  # a^k / k!
+        k = 0
+        while True:
+            if k != m_skip:
+                term = zeta_real(w - 2.0 * k) * apow
+                if k & 1:
+                    term = -term
+                mag = abs(term)
+                log.log("k", k, mag)
+                yield term, mag
+            k += 1
+            apow *= a / k
+
     acc = ComplexSum(singular_term(spec))
-
-    if isinstance(policy, Fixed):
-        cap = min(policy.count, caps.k)
-    elif isinstance(policy, ErrorTarget):
-        cap = min(policy.cap, caps.k)
-    else:
-        cap = caps.k
-
-    included = 0
-    first_omitted = 0.0
-    pending: Optional[tuple[complex, float]] = None
-    apow: complex = 1.0 + 0j  # a^k / k!
-    k = 0
-    while True:
-        if not (m_skip is not None and k == m_skip):
-            term = zeta_real(w - 2.0 * k) * apow
-            if k & 1:
-                term = -term
-            mag = abs(term)
-            log.log("k", k, mag)
-            if isinstance(policy, Fixed):
-                if included == cap:
-                    first_omitted = mag
-                    break
-                acc.add(term)
-                included += 1
-            else:
-                if pending is None:
-                    pending = (term, mag)
-                elif mag >= pending[1]:
-                    # pending is the least term: truncate just before it
-                    first_omitted = pending[1]
-                    break
-                else:
-                    acc.add(pending[0])
-                    included += 1
-                    pending = (term, mag)
-                if isinstance(policy, ErrorTarget) and pending[1] <= policy.eps:
-                    first_omitted = pending[1]
-                    break
-                if pending[1] < _REL_FLOOR * abs(acc.value):
-                    first_omitted = pending[1]
-                    break
-                if included == cap:
-                    first_omitted = pending[1]
-                    break
-        k += 1
-        apow *= a / k
+    included, least, last = _truncate(terms(), policy, _caps().k, acc, rel_floor=_REL_FLOOR)
     return Evaluation(
         value=acc.value,
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
-        err_estimate=first_omitted,
+        err_estimate=last if least is None else abs(least),
         term_log=log,
         near_odd_warning=_near_odd(w),
     )
@@ -307,9 +344,10 @@ def tail_factor(
     Partial sum of sum_j c_j (-a / (pi^2 n^2))^j with the
     inverse-factorial coefficients c_j = (m)_j (m+1/2)_j / j!,
     generated by the term ratio so no large intermediates appear.
-    Under OptimalFirstMin the last included index is the least-term
+    Unlike the generic k-sum, the series *includes* its least term:
+    under OptimalFirstMin the last included index is the least-term
     index (the magnitudes are unimodal in j, so the first local
-    minimum is global).
+    minimum is global).  The leading term 1 is kept under every policy.
 
     Returns (value, j_used, first_omitted) where j_used counts the
     included terms (least-term index + 1 under OptimalFirstMin) and
@@ -322,47 +360,28 @@ def tail_factor(
     _require_positive_int(n, "n")
     if jcap is None:
         jcap = _caps().j
+    if series is None:
+        log = None
+    elif log is not None:
+        log.log(series, 0, 1.0)
 
-    def put(index: int, magnitude: float) -> None:
-        if log is not None and series is not None:
-            log.log(series, index, magnitude)
+    def terms() -> Iterator[tuple[complex, float]]:
+        x = -a / (_PI2 * n * n)
+        t: complex = 1.0 + 0j
+        j = 0
+        while True:
+            t = t * ((m + j) * (m + 0.5 + j) / (j + 1.0)) * x
+            j += 1
+            mag = abs(t)
+            if log is not None:
+                log.log(series, j, mag)
+            yield t, mag
 
-    if isinstance(policy, Fixed):
-        target = min(policy.count, jcap)
-    elif isinstance(policy, ErrorTarget):
-        target = min(policy.cap, jcap)
-    else:
-        target = jcap
-
-    x = -a / (_PI2 * n * n)
     acc = ComplexSum()
-    t: complex = 1.0 + 0j
-    mag = 1.0
-    acc.add(t)
-    included = 1
-    put(0, mag)
-    j = 0
-    first_omitted = 0.0
-    while True:
-        t_next = t * ((m + j) * (m + 0.5 + j) / (j + 1.0)) * x
-        mag_next = abs(t_next)
-        stop = False
-        if isinstance(policy, Fixed):
-            stop = included == target
-        elif isinstance(policy, ErrorTarget):
-            stop = mag_next <= policy.eps or mag_next >= mag or included == target
-        else:
-            stop = mag_next >= mag or included == target
-        if stop:
-            put(j + 1, mag_next)
-            first_omitted = mag_next
-            break
-        acc.add(t_next)
-        t = t_next
-        mag = mag_next
-        j += 1
+    included, least, first_omitted = _truncate(terms(), policy, jcap, acc, lead=1.0 + 0j)
+    if least is not None:
+        acc.add(least)
         included += 1
-        put(j, mag)
     return acc.value, included, first_omitted
 
 
@@ -389,7 +408,7 @@ def eval_even(
     """
     a, w = spec.a, spec.w
     _require_positive_int(m, "m")
-    if abs(w - 2.0 * m) > INTEGER_TOL:
+    if _even_m(w) != m:
         raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
     caps = _caps()
     log = TermLog()
@@ -513,8 +532,8 @@ def evaluate(
     if method is MethodChoice.GENERIC:
         return eval_generic(spec, policy)
     if method is MethodChoice.EVEN_TRANSFORM:
-        m = round(spec.w / 2.0)
-        if m < 1 or abs(spec.w - 2.0 * m) > INTEGER_TOL:
+        m = _even_m(spec.w)
+        if m is None:
             raise MismatchError(
                 f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}"
             )
@@ -524,35 +543,6 @@ def evaluate(
             raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
         return _evaluate_classical(spec.a)
     raise DomainError(f"unknown method {method!r}")
-
-
-def _evaluate_classical(a: complex) -> Evaluation:
-    caps = _caps()
-    root = cmath.sqrt(cmath.pi / a)
-    abs_root = abs(root)
-    re_inv = (1.0 / a).real
-    log = TermLog()
-    dual = ComplexSum()
-    head = 0.5 * root - 0.5
-    n = 0
-    next_mag = abs_root * math.exp(max(-_PI2 * re_inv, -745.0))
-    while n < caps.n:
-        n += 1
-        term = root * cmath.exp(-_PI2 * n * n / a)
-        log.log("n", n, abs(term))
-        dual.add(term)
-        expo = -_PI2 * (n + 1) * (n + 1) * re_inv
-        next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
-        # stop once the first omitted dual term is below 1e-17 relative
-        if next_mag < 1e-17 * abs(head + dual.value):
-            break
-    return Evaluation(
-        value=head + dual.value,
-        method=MethodChoice.CLASSICAL_PJ,
-        terms_used={"n": n},
-        err_estimate=next_mag,
-        term_log=log,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -593,24 +583,14 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
     if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios) or abs(ratios[0] - 1.0) < 1e-9:
         raise DomainError("a_grid must be geometrically spaced")
 
-    m_skip = _odd_m(w)
+    # the k = m term of an odd w lives in the singular term
+    below_n = Fixed(N - 1 if _odd_m(w) is not None else N)
     xs: list[float] = []
     ys: list[float] = []
     for a in grid:
         spec = SumSpec(a, w)
         ref = direct_sum(spec, 1e-16)
-        partial = ComplexSum(singular_term(spec))
-        apow: complex = 1.0 + 0j
-        for k in range(N):
-            if k:
-                apow *= a / k
-            if m_skip is not None and k == m_skip:
-                continue
-            term = zeta_real(w - 2.0 * k) * apow
-            if k & 1:
-                term = -term
-            partial.add(term)
-        remainder = abs(ref.value - partial.value)
+        remainder = abs(ref.value - eval_generic(spec, below_n).value)
         floor = 1e2 * ref.noise_floor()
         if remainder < floor:
             raise PrecisionError(

@@ -145,13 +145,6 @@ class TermLog:
                 best_i, best_m = i, m
         return best_i
 
-    def last_included_index(self, name: str, included: int) -> int:
-        """Index of the ``included``-th logged term of a series."""
-        seq = self.series(name)
-        if included < 1 or included > len(seq):
-            raise KeyError(f"series {name!r} does not have {included} terms")
-        return seq[included - 1][0]
-
 
 @dataclass
 class Evaluation:

@@ -207,6 +207,15 @@ def test_sweep_method_mismatch_is_precondition(capsys, tmp_path):
     assert "even" in err
 
 
+@pytest.mark.parametrize("policy", ["optimal", "fixed:3", "target:1e-3"])
+def test_eval_and_sweep_report_the_same_j0(policy, tmp_path, capsys):
+    _, out, _ = run(capsys, "eval", "--a", "0.5", "--w", "4", "--method", "even", "--policy", policy)
+    eval_j0 = next(int(line.split()[2]) for line in out.splitlines() if line.startswith("j0 j[n=1]"))
+    target = tmp_path / "s.csv"
+    run(capsys, "sweep", "--a", "0.5", "--w", "4", "--methods", "even", "--policy", policy, "--out", str(target))
+    assert eval_j0 == int(next(csv.DictReader(target.open()))["j0"])
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

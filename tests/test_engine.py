@@ -27,12 +27,12 @@ from thetasum import (
     gamma_real,
     optimal_index_heuristic,
     optimal_index_w4,
-    pochhammer,
     remainder_slope,
     singular_term,
     tail_factor,
 )
 from thetasum.reference import W4_ROWS
+from thetasum.verify import _literal_quadratic, _literal_quartic
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -250,33 +250,6 @@ def test_even_monotone_degradation():
     assert errs == sorted(errs)
 
 
-def _literal_quadratic(a, terms, n_max):
-    head = math.pi**2 / 6.0 + a / 2.0 - math.sqrt(math.pi * a)
-    tail = 0.0
-    for n in range(1, n_max + 1):
-        ups = sum(pochhammer(1.5, j) * (-a / (math.pi**2 * n * n)) ** j for j in range(terms))
-        tail += math.exp(-math.pi**2 * n * n / a) / (n * n) * ups
-    return head - (a / math.pi) ** 1.5 * tail
-
-
-def _literal_quartic(a, terms, n_max):
-    head = (
-        math.pi**4 / 90.0
-        - math.pi**2 * a / 6.0
-        - a * a / 4.0
-        + (2.0 / 3.0) * math.sqrt(math.pi) * a**1.5
-    )
-    tail = 0.0
-    for n in range(1, n_max + 1):
-        ups = sum(
-            pochhammer(2.5, j) * pochhammer(2, j) / math.factorial(j)
-            * (-a / (math.pi**2 * n * n)) ** j
-            for j in range(terms)
-        )
-        tail += math.exp(-math.pi**2 * n * n / a) / n**4 * ups
-    return head + (a / math.pi) ** 3.5 * tail
-
-
 @pytest.mark.parametrize("a", [0.5, 1.0])
 @pytest.mark.parametrize("terms", [1, 3, 5])
 def test_even_specialization_fixtures(a, terms):
@@ -284,6 +257,18 @@ def test_even_specialization_fixtures(a, terms):
     e2 = eval_even(SumSpec(a, 4.0), 2, Fixed(terms), n_max=5)
     assert abs(e1.value - _literal_quadratic(a, terms, 5)) / abs(e1.value) <= 1e-13
     assert abs(e2.value - _literal_quartic(a, terms, 5)) / abs(e2.value) <= 1e-13
+
+
+def test_even_error_target_policy():
+    spec = SumSpec(0.5, 4.0)
+    ev = eval_even(spec, 2, ErrorTarget(1e-3), n_max=1)
+    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3))
+    assert ev.terms_used["j"] == j_used
+    assert ev.term_log.series("j[n=1]")[-1][1] == first_omitted <= 1e-3
+    # the cap stop, and eps below the least term stops at the least term
+    assert eval_even(spec, 2, ErrorTarget(1e-30, 3), n_max=1).terms_used["j"] == 3
+    deep, opt = eval_even(spec, 2, ErrorTarget(1e-30)), eval_even(spec, 2, OPTIMAL)
+    assert (deep.value, deep.terms_used, deep.err_estimate) == (opt.value, opt.terms_used, opt.err_estimate)
 
 
 def test_even_auto_n_keeps_neglected_terms_small():
@@ -323,6 +308,44 @@ def test_tail_factor_least_term_is_local_min():
     assert mags[j0] <= mags[j0 + 1]
     assert j0 == 0 or mags[j0] < mags[j0 - 1]
     assert first_omitted == mags[j0 + 1]
+
+
+POLICIES = [OPTIMAL, Fixed(1), Fixed(4), ErrorTarget(1e-3), ErrorTarget(1e-30, 3), ErrorTarget(1.0), ErrorTarget(2.0)]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=repr)
+@pytest.mark.parametrize("a,m", [(0.25, 1), (0.5, 2), (1.0, 2), (5.0, 3)])
+def test_tail_factor_keeps_leading_term(policy, a, m):
+    log = TermLog()
+    value, j_used, first_omitted = tail_factor(a, m, 1, policy, log=log, series="j")
+    logged = log.series("j")
+    assert j_used >= 1
+    assert logged[0] == (0, 1.0)
+    # the value is the partial sum of the first j_used terms, and the
+    # log ends with the first omitted one
+    assert value == tail_factor(a, m, 1, Fixed(j_used))[0]
+    assert logged[-1] == (j_used, first_omitted)
+    if isinstance(policy, ErrorTarget) and policy.eps >= 1.0:
+        assert (value, j_used) == (1.0 + 0j, 1)
+
+
+def test_tail_factor_error_target_stops_at_eps():
+    log = TermLog()
+    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3), log=log, series="j")
+    assert first_omitted <= 1e-3 < log.series("j")[j_used - 1][1]
+    assert j_used < tail_factor(0.5, 2, 1, OPTIMAL)[1]
+
+
+def test_tail_factor_error_target_cap():
+    value, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-30, 3))
+    assert j_used == 3 and first_omitted > 1e-30
+    assert value == tail_factor(0.5, 2, 1, Fixed(3))[0]
+
+
+def test_tail_factor_error_target_never_past_least_term():
+    # eps below the least term: the series stops at the least term
+    for a in (0.5, 1.0):
+        assert tail_factor(a, 2, 1, ErrorTarget(1e-30)) == tail_factor(a, 2, 1, OPTIMAL)
 
 
 def test_tail_factor_partial_sum_matches_coefficients():

@@ -1,0 +1,57 @@
+"""Golden outputs: `table1` stdout and `sweep` CSVs, byte for byte.
+
+The files under ``tests/golden/`` were written by the commands below.
+A refactor of the engine or the CLI must leave every byte in place;
+regenerate the files only for a change that is meant to move a value,
+with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from thetasum.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TABLE1 = "table1.txt"
+
+# name -> sweep arguments; together they cover all four methods, all
+# three policies and complex a
+SWEEPS = {
+    "sweep_even_optimal.csv": ["--a", "0.1,0.25,0.5,1.0,2.0,0.5+0.3j", "--w", "4", "--methods", "even,direct"],
+    "sweep_even_fixed.csv": ["--a", "0.25,0.5,1.0,0.5-0.4j", "--w", "4", "--methods", "even", "--policy", "fixed:3"],
+    "sweep_even_target.csv": ["--a", "0.3,0.5,1.0,0.4+0.2j", "--w", "6", "--methods", "even", "--policy", "target:1e-3"],
+    "sweep_generic_optimal.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "1.5", "--methods", "generic,direct"],
+    "sweep_generic_fixed.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "3", "--methods", "generic", "--policy", "fixed:4"],
+    "sweep_generic_target.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "2.5", "--methods", "generic", "--policy", "target:1e-8:6"],
+    "sweep_pj.csv": ["--a", "0.5,1.0,2.0,0.7+0.4j", "--w", "0", "--methods", "pj,direct"],
+}
+
+
+def test_table1_stdout_matches_golden(capsys):
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / TABLE1).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_matches_golden(name, tmp_path, capsys):
+    target = tmp_path / name
+    assert main(["sweep", *SWEEPS[name], "--out", str(target)]) == 0
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table1"]) == 0
+    (GOLDEN / TABLE1).write_text(out.getvalue())
+    for name, args in SWEEPS.items():
+        assert main(["sweep", *args, "--out", str(GOLDEN / name)]) == 0
+
+
+if __name__ == "__main__":
+    _regenerate()
