@@ -11,7 +11,6 @@ from .engine import (
     eval_even,
     eval_generic,
     evaluate,
-    optimal_index_heuristic,
     optimal_index_w4,
     remainder_slope,
     singular_term,
@@ -38,7 +37,7 @@ from .model import (
     TermLog,
     TruncationPolicy,
 )
-from .oracle import OracleResult, abs_error, direct_sum
+from .oracle import OracleResult, direct_sum
 from .specfun import (
     EULER_GAMMA,
     bernoulli_even,
@@ -78,14 +77,12 @@ __all__ = [
     # oracle
     "OracleResult",
     "direct_sum",
-    "abs_error",
     # engine
     "classical_pj_rhs",
     "singular_term",
     "eval_generic",
     "eval_even",
     "tail_factor",
-    "optimal_index_heuristic",
     "optimal_index_w4",
     "evaluate",
     "remainder_slope",

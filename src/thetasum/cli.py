@@ -254,17 +254,7 @@ def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, ep
     except ConvergenceError:
         ref = None
     used = ev.terms_used
-    if method is MethodChoice.EVEN_TRANSFORM:
-        terms_k = str(used["k"])
-        terms_j = str(used["j"])
-        terms_n = str(used["n"])
-        j0 = str(_tail_j0(ev)["j[n=1]"])
-    elif method is MethodChoice.GENERIC:
-        terms_k, terms_j, terms_n, j0 = str(used["k"]), "", "", ""
-    elif method is MethodChoice.CLASSICAL_PJ:
-        terms_k, terms_j, terms_n, j0 = "", "", str(used["n"]), ""
-    else:
-        terms_k = terms_j = terms_n = j0 = ""
+    terms_k, terms_j, terms_n = (str(used[key]) if key in used else "" for key in ("k", "j", "n"))
     return [
         _g17(spec.a.real),
         _g17(spec.a.imag),
@@ -277,7 +267,7 @@ def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, ep
         terms_k,
         terms_j,
         terms_n,
-        j0,
+        str(_tail_j0(ev).get("j[n=1]", "")),
     ]
 
 
@@ -285,12 +275,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     methods = []
     for name in args.methods.split(","):
         name = name.strip().lower()
-        if name == "auto":
-            methods.append(_resolve_method("auto", args.w))
-        elif name in _METHOD_NAMES:
-            methods.append(_METHOD_NAMES[name])
-        else:
+        if name != "auto" and name not in _METHOD_NAMES:
             raise DomainError(f"unknown method {name!r} (direct | generic | even | pj | auto)")
+        methods.append(_resolve_method(name, args.w))
     config = SweepConfig(
         a_values=tuple(_parse_complex(part) for part in args.a.split(",")),
         w=args.w,

@@ -9,46 +9,38 @@ of terms, which the oracle comparisons at the 1e-13 level require.
 
 from __future__ import annotations
 
-__all__ = ["NeumaierSum", "ComplexSum"]
-
-
-class NeumaierSum:
-    """Running compensated sum of real terms."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, start: float = 0.0):
-        self._s = float(start)
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
+__all__ = ["ComplexSum"]
 
 
 class ComplexSum:
     """Running compensated sum of complex terms (componentwise Neumaier)."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_re", "_im", "_c_re", "_c_im")
 
     def __init__(self, start: complex = 0j):
         start = complex(start)
-        self._re = NeumaierSum(start.real)
-        self._im = NeumaierSum(start.imag)
+        self._re = start.real
+        self._im = start.imag
+        self._c_re = 0.0
+        self._c_im = 0.0
 
     def add(self, z: complex) -> None:
         z = complex(z)
-        self._re.add(z.real)
-        self._im.add(z.imag)
+        x, s = z.real, self._re
+        t = s + x
+        if abs(s) >= abs(x):
+            self._c_re += (s - t) + x
+        else:
+            self._c_re += (x - t) + s
+        self._re = t
+        x, s = z.imag, self._im
+        t = s + x
+        if abs(s) >= abs(x):
+            self._c_im += (s - t) + x
+        else:
+            self._c_im += (x - t) + s
+        self._im = t
 
     @property
     def value(self) -> complex:
-        return complex(self._re.value, self._im.value)
+        return complex(self._re + self._c_re, self._im + self._c_im)

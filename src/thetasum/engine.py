@@ -20,17 +20,18 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   series tail_factor(a; m, n) with inverse-factorial coefficients.
 
 The k-sum and the tail-factor series diverge; ``_truncate`` cuts both.
-Everything is pure and thread safe.  Series caps can be overridden
-with the THETA_SUM_MAX_TERMS environment variable (read per call).
+Everything is pure and thread safe.  Each series stops at a fixed cap
+(_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with a Fixed or
+ErrorTarget policy, or the dual sum with n_max.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import os
 import statistics
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional
 
 from .compensated import ComplexSum
 from .errors import (
@@ -59,7 +60,6 @@ __all__ = [
     "eval_generic",
     "eval_even",
     "tail_factor",
-    "optimal_index_heuristic",
     "optimal_index_w4",
     "evaluate",
     "remainder_slope",
@@ -80,29 +80,11 @@ NEAR_ODD_WINDOW = 0.05
 # chasing a minimum that may lie past the range of zeta_real.
 _REL_FLOOR = 1e-18
 
-
-class Caps(NamedTuple):
-    k: int  # generic / algebraic power series
-    j: int  # tail-factor series per dual term
-    n: int  # dual (theta-type) sum
-
-
-_DEFAULT_CAPS = Caps(k=400, j=2000, n=50)
-
-_ENV_CAP = "THETA_SUM_MAX_TERMS"
-
-
-def _caps() -> Caps:
-    raw = os.environ.get(_ENV_CAP)
-    if not raw:
-        return _DEFAULT_CAPS
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
-    if v < 1:
-        raise DomainError(f"{_ENV_CAP} must be >= 1, got {v}")
-    return Caps(k=v, j=v, n=v)
+# Series caps: the generic k-sum, the tail-factor series of each dual
+# term, and the dual (theta-type) sum.
+_K_CAP = 400
+_J_CAP = 2000
+_N_CAP = 50
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +151,7 @@ def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
     log = TermLog()
     dual = ComplexSum()
     head = 0.5 * root - 0.5
-    for n in range(1, (_caps().n if n_max is None else n_max) + 1):
+    for n in range(1, (_N_CAP if n_max is None else n_max) + 1):
         term = root * cmath.exp(-_PI2 * n * n / a)
         log.log("n", n, abs(term))
         dual.add(term)
@@ -268,6 +250,24 @@ def singular_term(spec: SumSpec) -> complex:
     return 0.5 * gamma_real(0.5 - 0.5 * w) * a ** ((w - 1.0) / 2.0)
 
 
+def _k_terms(a: complex, w: float, log: TermLog) -> Iterator[tuple[complex, float]]:
+    # (-1)^k zeta(w - 2k) a^k / k! and its magnitude for k = 0, 1, ...,
+    # skipping k = m when w = 2m+1; each term is logged as it is made
+    m_skip = _odd_m(w)
+    apow: complex = 1.0 + 0j  # a^k / k!
+    k = 0
+    while True:
+        if k != m_skip:
+            term = zeta_real(w - 2.0 * k) * apow
+            if k & 1:
+                term = -term
+            mag = abs(term)
+            log.log("k", k, mag)
+            yield term, mag
+        k += 1
+        apow *= a / k
+
+
 def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluation:
     """Generic small-a expansion for w > 0 not an even integer.
 
@@ -287,24 +287,8 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
             f"w = {w} is an even integer; use the even-exponent transformation"
         )
     log = TermLog()
-
-    def terms() -> Iterator[tuple[complex, float]]:
-        m_skip = _odd_m(w)
-        apow: complex = 1.0 + 0j  # a^k / k!
-        k = 0
-        while True:
-            if k != m_skip:
-                term = zeta_real(w - 2.0 * k) * apow
-                if k & 1:
-                    term = -term
-                mag = abs(term)
-                log.log("k", k, mag)
-                yield term, mag
-            k += 1
-            apow *= a / k
-
     acc = ComplexSum(singular_term(spec))
-    included, least, last = _truncate(terms(), policy, _caps().k, acc, rel_floor=_REL_FLOOR)
+    included, least, last = _truncate(_k_terms(a, w, log), policy, _K_CAP, acc, rel_floor=_REL_FLOOR)
     return Evaluation(
         value=acc.value,
         method=MethodChoice.GENERIC,
@@ -336,8 +320,7 @@ def tail_factor(
     policy: TruncationPolicy = OPTIMAL,
     *,
     log: Optional[TermLog] = None,
-    series: Optional[str] = None,
-    jcap: Optional[int] = None,
+    series: str = "j",
 ) -> tuple[complex, int, float]:
     """Asymptotic factor decorating the n-th dual term for w = 2m.
 
@@ -351,18 +334,16 @@ def tail_factor(
 
     Returns (value, j_used, first_omitted) where j_used counts the
     included terms (least-term index + 1 under OptimalFirstMin) and
-    first_omitted is the magnitude of the first omitted term.
+    first_omitted is the magnitude of the first omitted term.  With a
+    ``log``, every computed term, the first omitted one included, is
+    logged under the name ``series``.
     """
     a = complex(a)
     if not a.real > 0.0:
         raise DomainError(f"tail_factor requires Re(a) > 0, got a = {a}")
     _require_positive_int(m, "m")
     _require_positive_int(n, "n")
-    if jcap is None:
-        jcap = _caps().j
-    if series is None:
-        log = None
-    elif log is not None:
+    if log is not None:
         log.log(series, 0, 1.0)
 
     def terms() -> Iterator[tuple[complex, float]]:
@@ -378,7 +359,7 @@ def tail_factor(
             yield t, mag
 
     acc = ComplexSum()
-    included, least, first_omitted = _truncate(terms(), policy, jcap, acc, lead=1.0 + 0j)
+    included, least, first_omitted = _truncate(terms(), policy, _J_CAP, acc, lead=1.0 + 0j)
     if least is not None:
         acc.add(least)
         included += 1
@@ -389,7 +370,7 @@ def eval_even(
     spec: SumSpec,
     m: int,
     policy: TruncationPolicy = OPTIMAL,
-    n_max: Union[int, str, None] = "auto",
+    n_max: Optional[int] = None,
 ) -> Evaluation:
     """Poisson-Jacobi-type transformation for w = 2m.
 
@@ -399,7 +380,7 @@ def eval_even(
           sum_{n=1}^{n_max} tail_factor(a; m, n) exp(-pi^2 n^2 / a) / n^(2m)
 
     Gamma(1/2 - m) comes from the downward recurrence off sqrt(pi);
-    the k = m zeta factor is zeta(0) = -1/2.  With n_max="auto" the
+    the k = m zeta factor is zeta(0) = -1/2.  With n_max=None the
     dual sum stops at the first n whose undecorated magnitude
     exp(-pi^2 n^2 Re(1/a)) / n^(2m) falls below 1e-18 of the value
     accumulated so far (that term is still included), capped at the
@@ -410,30 +391,19 @@ def eval_even(
     _require_positive_int(m, "m")
     if _even_m(w) != m:
         raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
-    caps = _caps()
     log = TermLog()
     acc = ComplexSum()
 
     acc.add(0.5 * _gamma_half_minus(m) * a ** (m - 0.5))
-    apow: complex = 1.0 + 0j
-    for k in range(m + 1):
-        if k:
-            apow *= a / k
-        term = zeta_real(2.0 * m - 2.0 * k) * apow
-        if k & 1:
-            term = -term
-        log.log("k", k, abs(term))
+    for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log), m + 1):
         acc.add(term)
 
     pref = (a / math.pi) ** (2 * m - 0.5)
     if m & 1:
         pref = -pref
     re_inv = (1.0 / a).real
-    auto = n_max == "auto" or n_max is None
-    if auto:
-        ncap = caps.n
-    else:
-        ncap = min(_require_positive_int(n_max, "n_max"), caps.n)
+    auto = n_max is None
+    ncap = _N_CAP if auto else min(_require_positive_int(n_max, "n_max"), _N_CAP)
 
     n_used = 0
     fo_j_n1 = 0.0
@@ -443,9 +413,7 @@ def eval_even(
         raw = (math.exp(expo) if expo > -745.0 else 0.0) / n ** (2 * m)
         # auto rule: this n is the last one worth including
         last = auto and raw < _REL_FLOOR * abs(acc.value)
-        ups, j_used, fo = tail_factor(
-            a, m, n, policy, log=log, series=f"j[n={n}]", jcap=caps.j
-        )
+        ups, j_used, fo = tail_factor(a, m, n, policy, log=log, series=f"j[n={n}]")
         term = pref * ups * cmath.exp(-_PI2 * n * n / a) / n ** (2 * m)
         log.log("n", n, abs(term))
         acc.add(term)
@@ -471,25 +439,8 @@ def eval_even(
 
 
 # ----------------------------------------------------------------------
-# least-term index predictors
+# least-term index predictor
 # ----------------------------------------------------------------------
-
-
-def optimal_index_heuristic(a: complex, m: int, n: int) -> float:
-    """Predictor pi^2 n^2 / |a| - (2m + 1/2) for the least-term index
-    of tail_factor's series.
-
-    Heuristic: the term-ratio unit-crossing gives the pi^2 n^2 / |a|
-    scale; the constant offset generalizes the published m = 2 form
-    (optimal_index_w4) and is not asserted anywhere.  Uses |a| so
-    complex parameters get a real predictor.
-    """
-    _require_positive_int(m, "m")
-    _require_positive_int(n, "n")
-    mod = abs(complex(a))
-    if not mod > 0.0:
-        raise DomainError("optimal_index_heuristic requires a != 0")
-    return _PI2 * n * n / mod - (2.0 * m + 0.5)
 
 
 def optimal_index_w4(a: float) -> float:
@@ -510,7 +461,7 @@ def evaluate(
     spec: SumSpec,
     method: MethodChoice,
     policy: TruncationPolicy = OPTIMAL,
-    n_max: Union[int, str, None] = "auto",
+    n_max: Optional[int] = None,
     eps: float = 1e-16,
 ) -> Evaluation:
     """Evaluate the sum by the chosen route.
@@ -570,8 +521,7 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
         raise DomainError(f"remainder_slope requires w > 0, got {w}")
     if _even_m(w) is not None:
         raise EvenExponentError("remainder_slope requires w not an even integer")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    _require_positive_int(N, "N")
     if not N > 0.5 * w + 0.5:
         raise DomainError(f"requires N > w/2 + 1/2 = {0.5 * w + 0.5}, got N = {N}")
     grid = [float(x) for x in a_grid]

@@ -127,24 +127,6 @@ class TermLog:
     def series(self, name: str) -> list[tuple[int, float]]:
         return [(i, m) for s, i, m in self.entries if s == name]
 
-    def series_names(self) -> list[str]:
-        seen: list[str] = []
-        for s, _, _ in self.entries:
-            if s not in seen:
-                seen.append(s)
-        return seen
-
-    def least_index(self, name: str) -> int:
-        """Index of the smallest logged magnitude (first on ties)."""
-        seq = self.series(name)
-        if not seq:
-            raise KeyError(f"no terms logged for series {name!r}")
-        best_i, best_m = seq[0]
-        for i, m in seq[1:]:
-            if m < best_m:
-                best_i, best_m = i, m
-        return best_i
-
 
 @dataclass
 class Evaluation:

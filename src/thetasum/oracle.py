@@ -17,7 +17,7 @@ from .compensated import ComplexSum
 from .errors import ConvergenceError, DomainError
 from .model import SumSpec
 
-__all__ = ["OracleResult", "direct_sum", "abs_error"]
+__all__ = ["OracleResult", "direct_sum"]
 
 #: Hard iteration budget; direct summation past this is a sign the
 #: caller should be using the expansions instead.
@@ -102,14 +102,3 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
             break
     rounding = n * _MACHINE_EPS * abs_acc
     return OracleResult(value=acc.value, n_terms=n, tail_bound=tb, rounding_bound=rounding)
-
-
-def abs_error(method_value: complex, spec: SumSpec, eps: float = 1e-16) -> float:
-    """|method_value - direct_sum(spec).value|.
-
-    Only meaningful above the oracle's noise floor, which callers can
-    obtain from direct_sum directly.  Propagates ConvergenceError when
-    direct summation is infeasible.
-    """
-    ref = direct_sum(spec, eps)
-    return abs(complex(method_value) - ref.value)

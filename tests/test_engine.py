@@ -25,7 +25,6 @@ from thetasum import (
     eval_generic,
     evaluate,
     gamma_real,
-    optimal_index_heuristic,
     optimal_index_w4,
     remainder_slope,
     singular_term,
@@ -234,6 +233,14 @@ def test_even_mismatch_guard():
         eval_even(SumSpec(0.5, 4.0), 0)
 
 
+def test_even_n_max_is_none_or_positive_int():
+    spec = SumSpec(0.5, 4.0)
+    assert eval_even(spec, 2, OPTIMAL, None).value == eval_even(spec, 2).value
+    for bad in ("auto", 0, 1.0):
+        with pytest.raises(DomainError):
+            eval_even(spec, 2, OPTIMAL, n_max=bad)
+
+
 def test_even_sector_validity():
     for theta in (-1.2, -0.6, 0.0, 0.6, 1.2):
         spec = SumSpec(0.5 * cmath.exp(1j * theta), 4.0)
@@ -366,14 +373,8 @@ def test_tail_factor_domain():
 
 
 # ----------------------------------------------------------------------
-# least-term predictors
+# least-term predictor
 # ----------------------------------------------------------------------
-
-
-def test_heuristic_n_squared_scaling():
-    offset = 2.0 * 2 + 0.5
-    base = optimal_index_heuristic(0.8, 2, 1) + offset
-    assert optimal_index_heuristic(0.8, 2, 2) + offset == pytest.approx(4.0 * base, rel=1e-14)
 
 
 def test_reference_predictor_w4():
@@ -461,22 +462,6 @@ def test_remainder_slope_preconditions():
 
 
 # ----------------------------------------------------------------------
-# caps and the environment override
-# ----------------------------------------------------------------------
-
-
-def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("THETA_SUM_MAX_TERMS", "5")
-    ev = eval_even(SumSpec(0.25, 4.0), 2, OPTIMAL, n_max=1)
-    assert ev.terms_used["j"] <= 5
-    ev2 = eval_generic(SumSpec(0.05, 1.5), Fixed(100))
-    assert ev2.terms_used["k"] <= 5
-    monkeypatch.setenv("THETA_SUM_MAX_TERMS", "junk")
-    with pytest.raises(DomainError):
-        eval_generic(SumSpec(0.05, 1.5))
-
-
-# ----------------------------------------------------------------------
 # model plumbing
 # ----------------------------------------------------------------------
 
@@ -488,8 +473,8 @@ def test_term_log_rules():
     log.log("j", 0, 2.0)
     with pytest.raises(ValueError):
         log.log("k", 2, 0.1)
-    assert log.least_index("k") == 2
-    assert log.series_names() == ["k", "j"]
+    assert log.series("k") == [(0, 1.0), (2, 0.5)]
+    assert log.series("j") == [(0, 2.0)]
 
 
 def test_policy_validation():

@@ -1,4 +1,4 @@
-"""Golden outputs: `table1` stdout and `sweep` CSVs, byte for byte.
+"""Golden outputs: `table1` and `eval` stdout and `sweep` CSVs, byte for byte.
 
 The files under ``tests/golden/`` were written by the commands below.
 A refactor of the engine or the CLI must leave every byte in place;
@@ -30,6 +30,15 @@ SWEEPS = {
     "sweep_pj.csv": ["--a", "0.5,1.0,2.0,0.7+0.4j", "--w", "0", "--methods", "pj,direct"],
 }
 
+# name -> eval arguments; the even cases print one j0 line per dual term
+EVALS = {
+    "eval_even_auto.txt": ["--a", "1.5+1j", "--w", "4"],
+    "eval_even_fixed.txt": ["--a", "0.5", "--w", "4", "--method", "even", "--policy", "fixed:3"],
+    "eval_generic_near_odd.txt": ["--a", "0.02", "--w", "3.03"],
+    "eval_pj.txt": ["--a", "0.7+0.4j", "--w", "0", "--method", "pj"],
+    "eval_direct.txt": ["--a", "0.3-0.2j", "--w", "1.5", "--method", "direct"],
+}
+
 
 def test_table1_stdout_matches_golden(capsys):
     assert main(["table1"]) == 0
@@ -43,12 +52,24 @@ def test_sweep_csv_matches_golden(name, tmp_path, capsys):
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+@pytest.mark.parametrize("name", sorted(EVALS))
+def test_eval_stdout_matches_golden(name, capsys):
+    assert main(["eval", *EVALS[name]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["table1"]) == 0
-    (GOLDEN / TABLE1).write_text(out.getvalue())
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / TABLE1).write_text(_stdout(["table1"]))
+    for name, args in EVALS.items():
+        (GOLDEN / name).write_text(_stdout(["eval", *args]))
     for name, args in SWEEPS.items():
         assert main(["sweep", *args, "--out", str(GOLDEN / name)]) == 0
 
