@@ -1,11 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: a thin shell over ``engine.evaluate``,
+``engine.eval_even`` and ``oracle.direct_sum``.
 
 Subcommands:
 
 * ``eval``   -- single-point evaluation with oracle cross-check
 * ``table1`` -- reproduce the quartic-case reference error table
-* ``sweep``  -- parameter sweep to CSV
+* ``sweep``  -- parameter sweep to CSV, one row per (a, method)
 * ``verify`` -- run the verification suites
+
+A method is ``auto`` or the value of a ``MethodChoice``; ``auto`` is
+the even transformation at even integer w and the generic expansion
+otherwise.  Every input is checked before the first line of output is
+written, so a rejected input prints nothing and leaves no file; a
+``direct`` sweep row is its own oracle.
 
 Exit codes: 0 success, 1 failed verification check, 2 precondition
 violation, 3 direct summation infeasible, 4 unwritable output path.
@@ -18,20 +25,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import math
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import _even_m, eval_even, evaluate
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EvenExponentError,
-    MismatchError,
-    PoleError,
-    RangeError,
-)
+from .errors import ConvergenceError, DomainError, ThetaSumError
 from .model import (
     OPTIMAL,
     ErrorTarget,
@@ -45,12 +45,8 @@ from .oracle import OracleResult, direct_sum
 from .reference import W4_ROWS, ReferenceRow
 from .verify import SUITE_NAMES, run_suite
 
-_METHOD_NAMES = {
-    "direct": MethodChoice.DIRECT,
-    "generic": MethodChoice.GENERIC,
-    "even": MethodChoice.EVEN_TRANSFORM,
-    "pj": MethodChoice.CLASSICAL_PJ,
-}
+#: every name a ``--method`` / ``--methods`` option accepts
+METHODS = ("auto", *(m.value for m in MethodChoice))
 
 _SWEEP_HEADER = (
     "a_re,a_im,w,method,value_re,value_im,err_estimate,"
@@ -81,17 +77,20 @@ def _parse_policy(text: str) -> TruncationPolicy:
         parts = t.split(":")[1:]
         try:
             eps = float(parts[0])
-            cap = int(parts[1]) if len(parts) > 1 else 2000
-        except (ValueError, IndexError) as exc:
+            cap = int(parts[1]) if len(parts) > 1 else None
+        except ValueError as exc:
             raise DomainError(f"bad target policy {text!r} (use target:EPS[:CAP])") from exc
-        return ErrorTarget(eps, cap)
+        return ErrorTarget(eps) if cap is None else ErrorTarget(eps, cap)
     raise DomainError(f"unknown policy {text!r} (optimal | fixed:N | target:EPS[:CAP])")
 
 
 def _resolve_method(name: str, w: float) -> MethodChoice:
     if name == "auto":
         return MethodChoice.GENERIC if _even_m(w) is None else MethodChoice.EVEN_TRANSFORM
-    return _METHOD_NAMES[name]
+    try:
+        return MethodChoice(name)
+    except ValueError:
+        raise DomainError(f"unknown method {name!r} ({' | '.join(METHODS)})") from None
 
 
 def _g17(x: float) -> str:
@@ -109,6 +108,14 @@ def _tail_j0(ev: Evaluation) -> dict[str, int]:
     return j0
 
 
+def _oracle(spec: SumSpec, eps: float) -> Optional[OracleResult]:
+    """The direct sum, or None where it is infeasible at ``eps``."""
+    try:
+        return direct_sum(spec, eps)
+    except ConvergenceError:
+        return None
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------
@@ -119,6 +126,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     method = _resolve_method(args.method, spec.w)
     policy = _parse_policy(args.policy)
     ev = evaluate(spec, method, policy, eps=args.eps)
+    ref = None if method is MethodChoice.DIRECT else _oracle(spec, args.eps)
     print(f"method        {method.value}")
     print(f"value_re      {_g17(ev.value.real)}")
     print(f"value_im      {_g17(ev.value.imag)}")
@@ -130,16 +138,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if ev.near_odd_warning:
         print("warning       w is within 0.05 of an odd integer: expect cancellation,")
         print("              accuracy guarantees void in this band")
-    if method is not MethodChoice.DIRECT:
-        try:
-            ref = direct_sum(spec, args.eps)
-        except ConvergenceError:
-            print("oracle        infeasible (direct summation too slow at this eps)")
-        else:
-            print(f"oracle_re     {_g17(ref.value.real)}")
-            print(f"oracle_im     {_g17(ref.value.imag)}")
-            print(f"oracle_noise  {ref.noise_floor():.6e}")
-            print(f"abs_error     {abs(ev.value - ref.value):.6e}")
+    if ref is not None:
+        print(f"oracle_re     {_g17(ref.value.real)}")
+        print(f"oracle_im     {_g17(ref.value.imag)}")
+        print(f"oracle_noise  {ref.noise_floor():.6e}")
+        print(f"abs_error     {abs(ev.value - ref.value):.6e}")
+    elif method is not MethodChoice.DIRECT:
+        print("oracle        infeasible (direct summation too slow at this eps)")
     return 0
 
 
@@ -153,7 +158,10 @@ def _select_rows(text: Optional[str]) -> list[ReferenceRow]:
         return list(W4_ROWS)
     chosen = []
     for part in text.split(","):
-        want = float(part)
+        try:
+            want = float(part)
+        except ValueError:
+            want = math.nan  # matches no row
         for row in W4_ROWS:
             if abs(row.a - want) < 1e-9:
                 chosen.append(row)
@@ -168,7 +176,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     rows = _select_rows(args.rows)
     header = f"{'a':>6}  {'S_direct':>10}  {'S_transform':>12}  {'abs_error':>10}  {'ref_error':>10}  {'j0':>4}  {'ref_j0':>6}  flag"
     print(header)
-    results = []
+    csv_rows = [["a", "s_direct", "s_transform", "abs_error", "ref_error", "j0", "ref_j0", "flag"]]
     for row in rows:
         spec = SumSpec(row.a, 4.0)
         ref = direct_sum(spec)
@@ -176,30 +184,25 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         err = abs(ev.value - ref.value)
         j0 = _tail_j0(ev)["j[n=1]"]
         flag = "ok" if row.reachable else "binary64-noise"
-        results.append((row, ref, ev, err, j0, flag))
         print(
             f"{row.a:>6.2f}  {ref.value.real:>10.6f}  {ev.value.real:>12.6f}  "
             f"{err:>10.3e}  {row.abs_err:>10.3e}  {j0:>4d}  {row.j0:>6d}  {flag}"
         )
+        csv_rows.append(
+            [
+                _g17(row.a),
+                _g17(ref.value.real),
+                _g17(ev.value.real),
+                _g17(err),
+                _g17(row.abs_err),
+                j0,
+                row.j0,
+                flag,
+            ]
+        )
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["a", "s_direct", "s_transform", "abs_error", "ref_error", "j0", "ref_j0", "flag"]
-            )
-            for row, ref, ev, err, j0, flag in results:
-                writer.writerow(
-                    [
-                        _g17(row.a),
-                        _g17(ref.value.real),
-                        _g17(ev.value.real),
-                        _g17(err),
-                        _g17(row.abs_err),
-                        j0,
-                        row.j0,
-                        flag,
-                    ]
-                )
+            csv.writer(fh).writerows(csv_rows)
     return 0
 
 
@@ -208,51 +211,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A parameter sweep: one CSV row per (a, method), in input order.
-
-    Rows are independent of each other (pure evaluations), so they
-    could be computed concurrently; output order stays input order x
-    method order either way.
-    """
-
-    a_values: tuple[complex, ...]
-    w: float
-    methods: tuple[MethodChoice, ...]
-    output_path: str
-    policy: TruncationPolicy = field(default_factory=lambda: OPTIMAL)
-    eps: float = 1e-16
-
-    def __post_init__(self):
-        if not self.a_values:
-            raise DomainError("sweep needs at least one a value")
-        if any(not complex(a).real > 0.0 for a in self.a_values):
-            raise DomainError("sweep requires Re(a) > 0 for every a value")
-        if not self.methods:
-            raise DomainError("sweep needs at least one method")
-
-
-def run_sweep(config: SweepConfig) -> int:
-    """Evaluate the sweep and write the CSV; returns the row count."""
-    rows = [
-        _sweep_row(SumSpec(a, config.w), method, config.policy, config.eps)
-        for a in config.a_values
-        for method in config.methods
-    ]
-    with open(config.output_path, "w", newline="") as fh:
-        fh.write(_SWEEP_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-    return len(rows)
-
-
 def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, eps: float) -> list[str]:
     ev = evaluate(spec, method, policy, eps=eps)
-    try:
-        ref: Optional[OracleResult] = direct_sum(spec, eps)
-    except ConvergenceError:
-        ref = None
+    # a direct row is its own oracle
+    ref = ev if method is MethodChoice.DIRECT else _oracle(spec, eps)
     used = ev.terms_used
     terms_k, terms_j, terms_n = (str(used[key]) if key in used else "" for key in ("k", "j", "n"))
     return [
@@ -272,22 +234,14 @@ def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, ep
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    methods = []
-    for name in args.methods.split(","):
-        name = name.strip().lower()
-        if name != "auto" and name not in _METHOD_NAMES:
-            raise DomainError(f"unknown method {name!r} (direct | generic | even | pj | auto)")
-        methods.append(_resolve_method(name, args.w))
-    config = SweepConfig(
-        a_values=tuple(_parse_complex(part) for part in args.a.split(",")),
-        w=args.w,
-        methods=tuple(methods),
-        output_path=args.out,
-        policy=_parse_policy(args.policy),
-        eps=args.eps,
-    )
-    count = run_sweep(config)
-    print(f"wrote {count} rows to {args.out}")
+    methods = [_resolve_method(name.strip().lower(), args.w) for name in args.methods.split(",")]
+    specs = [SumSpec(_parse_complex(part), args.w) for part in args.a.split(",")]
+    policy = _parse_policy(args.policy)
+    rows = [_sweep_row(spec, method, policy, args.eps) for spec in specs for method in methods]
+    with open(args.out, "w", newline="") as fh:
+        fh.write(_SWEEP_HEADER + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -326,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "direct", "generic", "even", "pj"],
+        choices=METHODS,
         help="evaluation route (auto: even transformation for even integer w, else generic)",
     )
     p_eval.add_argument("--policy", default="optimal", help="optimal | fixed:N | target:EPS[:CAP]")
@@ -341,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
     p_sweep.add_argument("--a", required=True, help="comma list of a values (RE or RE+IMj)")
     p_sweep.add_argument("--w", required=True, type=float)
-    p_sweep.add_argument("--methods", default="auto", help="comma list: direct,generic,even,pj,auto")
+    p_sweep.add_argument("--methods", default="auto", help="comma list: " + ",".join(METHODS))
     p_sweep.add_argument("--policy", default="optimal")
     p_sweep.add_argument("--eps", default=1e-16, type=float)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
@@ -363,7 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, PoleError, RangeError, EvenExponentError, MismatchError) as exc:
+    except ThetaSumError as exc:
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -469,7 +469,8 @@ def evaluate(
     DIRECT delegates to the oracle (err_estimate is its noise floor).
     EVEN_TRANSFORM derives m from w and requires w = 2m within
     tolerance; CLASSICAL_PJ requires w = 0 and is exposed for the
-    identity check.
+    identity check.  Both transformations sum n_max dual terms, or
+    choose the count themselves when n_max is None.
     """
     if method is MethodChoice.DIRECT:
         res = direct_sum(spec, eps)
@@ -492,7 +493,9 @@ def evaluate(
     if method is MethodChoice.CLASSICAL_PJ:
         if abs(spec.w) > INTEGER_TOL:
             raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
-        return _evaluate_classical(spec.a)
+        if n_max is not None:
+            _require_positive_int(n_max, "n_max")
+        return _evaluate_classical(spec.a, n_max)
     raise DomainError(f"unknown method {method!r}")
 
 

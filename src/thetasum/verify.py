@@ -327,8 +327,6 @@ def checks_appendix() -> list[CheckResult]:
     return out
 
 
-SUITE_NAMES = ("specfun", "oracle", "engine", "appendix", "all")
-
 _SUITES = {
     "specfun": checks_specfun,
     "oracle": checks_oracle,
@@ -336,13 +334,12 @@ _SUITES = {
     "appendix": checks_appendix,
 }
 
+SUITE_NAMES = (*_SUITES, "all")
+
 
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        results: list[CheckResult] = []
-        for key in ("specfun", "oracle", "engine", "appendix"):
-            results.extend(_SUITES[key]())
-        return results
+        return [result for checks in _SUITES.values() for result in checks()]
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name]()

@@ -4,7 +4,9 @@ import csv
 
 import pytest
 
-from thetasum.cli import main
+import thetasum.cli
+import thetasum.engine
+from thetasum.cli import METHODS, main
 
 SWEEP_HEADER = (
     "a_re,a_im,w,method,value_re,value_im,err_estimate,"
@@ -72,6 +74,14 @@ def test_eval_bad_policy(capsys):
     assert "policy" in err
 
 
+def test_eval_rejected_oracle_eps_prints_nothing(capsys):
+    # the oracle's eps check runs before the report is printed
+    rc, out, err = run(capsys, "eval", "--a", "1", "--w", "4", "--eps", "1e-20")
+    assert rc == 2
+    assert out == ""
+    assert "eps" in err
+
+
 def test_eval_complex_argument(capsys):
     rc, out, _ = run(capsys, "eval", "--a", "0.5+0.3j", "--w", "4")
     assert rc == 0
@@ -103,6 +113,14 @@ def test_table1_row_restriction(capsys):
 def test_table1_unknown_row(capsys):
     rc, _, err = run(capsys, "table1", "--rows", "0.33")
     assert rc == 2
+    assert "reference table" in err
+
+
+def test_table1_unparsable_row(capsys):
+    rc, out, err = run(capsys, "table1", "--rows", "abc")
+    assert rc == 2
+    assert out == ""
+    assert "row a=abc" in err
     assert "reference table" in err
 
 
@@ -179,23 +197,60 @@ def test_sweep_unwritable_path(capsys):
     assert "cannot write" in err
 
 
-def test_sweep_config_validation(tmp_path):
-    from thetasum import DomainError, MethodChoice
-    from thetasum.cli import SweepConfig, run_sweep
+@pytest.mark.parametrize("a_list", ["1.0,-1.0", "", "1.0,"])
+def test_sweep_bad_a_leaves_no_file(a_list, tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    rc, out, err = run(capsys, "sweep", "--a", a_list, "--w", "4", "--methods", "even", "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert "precondition" in err
+    assert not target.exists()
 
-    with pytest.raises(DomainError):
-        SweepConfig(a_values=(), w=4.0, methods=(MethodChoice.DIRECT,), output_path="x")
-    with pytest.raises(DomainError):
-        SweepConfig(a_values=(-1 + 0j,), w=4.0, methods=(MethodChoice.DIRECT,), output_path="x")
-    target = tmp_path / "api.csv"
-    config = SweepConfig(
-        a_values=(1.0 + 0j, 0.5 + 0j),
-        w=4.0,
-        methods=(MethodChoice.EVEN_TRANSFORM, MethodChoice.DIRECT),
-        output_path=str(target),
-    )
-    assert run_sweep(config) == 4
-    assert len(target.read_text().splitlines()) == 5
+
+def test_sweep_unknown_method_lists_the_names(tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    rc, _, err = run(capsys, "sweep", "--a", "1.0", "--w", "4", "--methods", "even,foo", "--out", str(target))
+    assert rc == 2
+    assert "'foo'" in err
+    assert all(name in err for name in METHODS)
+    assert not target.exists()
+
+
+def test_sweep_rows_are_a_by_method(tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    rc, out, _ = run(capsys, "sweep", "--a", "1.0,0.5", "--w", "4", "--methods", "even,direct", "--out", str(target))
+    assert rc == 0
+    assert out == f"wrote 4 rows to {target}\n"
+    rows = list(csv.DictReader(target.open()))
+    assert [(r["a_re"], r["method"]) for r in rows] == [
+        ("1", "even"), ("1", "direct"), ("0.5", "even"), ("0.5", "direct")
+    ]
+
+
+def test_sweep_direct_row_sums_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = thetasum.engine.direct_sum
+
+    def counting(spec, eps=1e-16):
+        calls.append(spec.a)
+        return real(spec, eps)
+
+    monkeypatch.setattr(thetasum.cli, "direct_sum", counting)
+    monkeypatch.setattr(thetasum.engine, "direct_sum", counting)
+    target = tmp_path / "s.csv"
+    rc, _, _ = run(capsys, "sweep", "--a", "1.0,0.5", "--w", "4", "--methods", "direct", "--out", str(target))
+    assert rc == 0
+    assert calls == [1.0, 0.5]
+    # the row is its own oracle
+    assert [row["abs_err_vs_oracle"] for row in csv.DictReader(target.open())] == ["0", "0"]
+
+
+def test_sweep_direct_infeasible_exit_code(tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    rc, _, err = run(capsys, "sweep", "--a", "1e-15", "--w", "4", "--methods", "direct", "--out", str(target))
+    assert rc == 3
+    assert "expansion" in err
+    assert not target.exists()
 
 
 def test_sweep_method_mismatch_is_precondition(capsys, tmp_path):

@@ -424,6 +424,17 @@ def test_dispatch_classical_matches_direct():
     assert ev.err_estimate <= 1e-15
 
 
+def test_dispatch_classical_honours_n_max():
+    spec = SumSpec(0.7, 0.0)
+    ev = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3)
+    assert ev.terms_used == {"n": 3}
+    assert ev.value == classical_pj_rhs(0.7, 3)
+    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=None).terms_used == {"n": 1}
+    for bad in (0, 1.0, "auto"):
+        with pytest.raises(DomainError):
+            evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=bad)
+
+
 # ----------------------------------------------------------------------
 # remainder scaling
 # ----------------------------------------------------------------------

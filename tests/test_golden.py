@@ -1,4 +1,4 @@
-"""Golden outputs: `table1` and `eval` stdout and `sweep` CSVs, byte for byte.
+"""Golden outputs: `table1` and `eval` stdout, the `table1` and `sweep` CSVs, byte for byte.
 
 The files under ``tests/golden/`` were written by the commands below.
 A refactor of the engine or the CLI must leave every byte in place;
@@ -17,9 +17,11 @@ from thetasum.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 TABLE1 = "table1.txt"
+TABLE1_CSV = "table1.csv"
 
-# name -> sweep arguments; together they cover all four methods, all
-# three policies and complex a
+# name -> sweep arguments; together they cover all four methods and
+# "auto" (at a non-integer and at an even w), all three policies and
+# complex a
 SWEEPS = {
     "sweep_even_optimal.csv": ["--a", "0.1,0.25,0.5,1.0,2.0,0.5+0.3j", "--w", "4", "--methods", "even,direct"],
     "sweep_even_fixed.csv": ["--a", "0.25,0.5,1.0,0.5-0.4j", "--w", "4", "--methods", "even", "--policy", "fixed:3"],
@@ -28,6 +30,8 @@ SWEEPS = {
     "sweep_generic_fixed.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "3", "--methods", "generic", "--policy", "fixed:4"],
     "sweep_generic_target.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "2.5", "--methods", "generic", "--policy", "target:1e-8:6"],
     "sweep_pj.csv": ["--a", "0.5,1.0,2.0,0.7+0.4j", "--w", "0", "--methods", "pj,direct"],
+    "sweep_auto_generic.csv": ["--a", "0.02,0.1,0.05+0.03j", "--w", "1.5", "--methods", "auto,direct"],
+    "sweep_auto_even.csv": ["--a", "0.25,1.0,0.6-0.2j", "--w", "4", "--methods", "auto,direct"],
 }
 
 # name -> eval arguments; the even cases print one j0 line per dual term
@@ -43,6 +47,12 @@ EVALS = {
 def test_table1_stdout_matches_golden(capsys):
     assert main(["table1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / TABLE1).read_text()
+
+
+def test_table1_csv_matches_golden(tmp_path, capsys):
+    target = tmp_path / TABLE1_CSV
+    assert main(["table1", "--csv", str(target)]) == 0
+    assert target.read_bytes() == (GOLDEN / TABLE1_CSV).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -67,7 +77,7 @@ def _stdout(argv: list[str]) -> str:
 
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / TABLE1).write_text(_stdout(["table1"]))
+    (GOLDEN / TABLE1).write_text(_stdout(["table1", "--csv", str(GOLDEN / TABLE1_CSV)]))
     for name, args in EVALS.items():
         (GOLDEN / name).write_text(_stdout(["eval", *args]))
     for name, args in SWEEPS.items():
