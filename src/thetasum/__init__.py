@@ -1,9 +1,13 @@
 """Gaussian-damped Dirichlet sums S(a; w) = sum_{n>=1} exp(-a n^2) / n^w.
 
-Direct summation with a rigorous tail bound, the generic small-a
-asymptotic expansion, and the even-exponent Poisson-Jacobi-type
-transformation, with optimal-truncation machinery and a verification
-suite.  Valid for Re(a) > 0 and real w.
+Four routes for Re(a) > 0 and real w >= 0: the direct-summation oracle
+with a rigorous tail bound (``direct_sum``), the generic small-a
+expansion (``eval_generic``), the even-exponent Poisson-Jacobi-type
+transformation (``eval_even``) and the classical identity at w = 0
+(``classical_pj_rhs``); ``evaluate`` dispatches on a ``MethodChoice``.
+The package exports the routes, the model types, the oracle and the
+errors; the kernels stay in ``thetasum.engine`` and
+``thetasum.specfun``, and the cross-checks in ``thetasum.verify``.
 """
 
 from .engine import (
@@ -11,10 +15,7 @@ from .engine import (
     eval_even,
     eval_generic,
     evaluate,
-    optimal_index_w4,
     remainder_slope,
-    singular_term,
-    tail_factor,
 )
 from .errors import (
     ConvergenceError,
@@ -23,7 +24,6 @@ from .errors import (
     MismatchError,
     PoleError,
     PrecisionError,
-    RangeError,
     ThetaSumError,
 )
 from .model import (
@@ -38,17 +38,6 @@ from .model import (
     TruncationPolicy,
 )
 from .oracle import OracleResult, direct_sum
-from .specfun import (
-    EULER_GAMMA,
-    bernoulli_even,
-    digamma_int,
-    gamma_real,
-    inv_factorial_coeff,
-    inv_factorial_coeff_doubled,
-    log_gamma,
-    pochhammer,
-    zeta_real,
-)
 
 __version__ = "0.1.0"
 
@@ -64,33 +53,19 @@ __all__ = [
     "MethodChoice",
     "TermLog",
     "Evaluation",
-    # special functions
-    "EULER_GAMMA",
-    "gamma_real",
-    "log_gamma",
-    "digamma_int",
-    "zeta_real",
-    "bernoulli_even",
-    "pochhammer",
-    "inv_factorial_coeff",
-    "inv_factorial_coeff_doubled",
     # oracle
     "OracleResult",
     "direct_sum",
-    # engine
-    "classical_pj_rhs",
-    "singular_term",
+    # routes
+    "evaluate",
     "eval_generic",
     "eval_even",
-    "tail_factor",
-    "optimal_index_w4",
-    "evaluate",
+    "classical_pj_rhs",
     "remainder_slope",
     # errors
     "ThetaSumError",
     "DomainError",
     "PoleError",
-    "RangeError",
     "EvenExponentError",
     "MismatchError",
     "ConvergenceError",

@@ -9,10 +9,11 @@ Subcommands:
 * ``verify`` -- run the verification suites
 
 A method is ``auto`` or the value of a ``MethodChoice``; ``auto`` is
-the even transformation at even integer w and the generic expansion
-otherwise.  Every input is checked before the first line of output is
-written, so a rejected input prints nothing and leaves no file; a
-``direct`` sweep row is its own oracle.
+the classical identity at w = 0, the even transformation at even
+integer w and the generic expansion otherwise.  Every input is
+checked before the first line of output is written, so a rejected
+input prints nothing and leaves no file; a ``direct`` sweep row is its
+own oracle.
 
 Exit codes: 0 success, 1 failed verification check, 2 precondition
 violation, 3 direct summation infeasible, 4 unwritable output path.
@@ -74,7 +75,7 @@ def _parse_policy(text: str) -> TruncationPolicy:
         except ValueError as exc:
             raise DomainError(f"bad fixed policy {text!r} (use fixed:N)") from exc
     if t.startswith("target:"):
-        parts = t.split(":")[1:]
+        parts = t.split(":", 2)[1:]
         try:
             eps = float(parts[0])
             cap = int(parts[1]) if len(parts) > 1 else None
@@ -86,6 +87,8 @@ def _parse_policy(text: str) -> TruncationPolicy:
 
 def _resolve_method(name: str, w: float) -> MethodChoice:
     if name == "auto":
+        if w == 0.0:
+            return MethodChoice.CLASSICAL_PJ
         return MethodChoice.GENERIC if _even_m(w) is None else MethodChoice.EVEN_TRANSFORM
     try:
         return MethodChoice(name)
@@ -281,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=METHODS,
-        help="evaluation route (auto: even transformation for even integer w, else generic)",
+        help="evaluation route (auto: pj at w = 0, even at even integer w, else generic)",
     )
     p_eval.add_argument("--policy", default="optimal", help="optimal | fixed:N | target:EPS[:CAP]")
     p_eval.add_argument("--eps", default=1e-16, type=float, help="oracle tolerance")

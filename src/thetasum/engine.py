@@ -60,7 +60,6 @@ __all__ = [
     "eval_generic",
     "eval_even",
     "tail_factor",
-    "optimal_index_w4",
     "evaluate",
     "remainder_slope",
 ]
@@ -144,7 +143,9 @@ def classical_pj_rhs(a: complex, n_max: int) -> complex:
 
 def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
     # n_max=None: stop once the first omitted dual term is below 1e-17
-    # of the value, capped at the n-series cap
+    # of the value, capped at the n-series cap.  Either way stop at the
+    # first dual term that underflows to 0: the terms only shrink, so
+    # the rest would add nothing.
     root = cmath.sqrt(cmath.pi / a)
     abs_root = abs(root)
     re_inv = (1.0 / a).real
@@ -157,7 +158,7 @@ def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
         dual.add(term)
         expo = -_PI2 * (n + 1) * (n + 1) * re_inv
         next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
-        if n_max is None and next_mag < 1e-17 * abs(head + dual.value):
+        if term == 0 or (n_max is None and next_mag < 1e-17 * abs(head + dual.value)):
             break
     return Evaluation(
         value=head + dual.value,
@@ -436,20 +437,6 @@ def eval_even(
         err_estimate=fo_tail_j + fo_tail_n,
         term_log=log,
     )
-
-
-# ----------------------------------------------------------------------
-# least-term index predictor
-# ----------------------------------------------------------------------
-
-
-def optimal_index_w4(a: float) -> float:
-    """Reference predictor pi^2 / a - 5/2 for the quartic case
-    (m = 2, first dual term)."""
-    a = float(a)
-    if not a > 0.0:
-        raise DomainError("optimal_index_w4 requires a > 0")
-    return _PI2 / a - 2.5
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,6 @@ class PoleError(ThetaSumError):
     """Evaluation was requested at (or indistinguishably close to) a pole."""
 
 
-class RangeError(ThetaSumError):
-    """An index or order is outside the supported range."""
-
-
 class EvenExponentError(ThetaSumError):
     """The exponent is an even integer; the generic expansion does not apply.
 

@@ -1,20 +1,19 @@
 """Real-argument special-function kernel.
 
-Self-contained binary64 implementations of everything the expansion
-engine needs on the real line:
+Self-contained binary64 implementations of the three functions the
+expansion engine needs on the real line:
 
-* gamma and log-gamma (fixed-coefficient Lanczos approximation plus
-  the reflection formula),
+* gamma (fixed-coefficient Lanczos approximation plus the reflection
+  formula; past x = 170 through a private log-gamma),
 * digamma at positive integer arguments, psi(m+1) = -gamma + H_m,
 * the Riemann zeta function (accelerated alternating series for
-  s >= 1/2, the functional equation for s < 1/2),
-* even-index Bernoulli numbers (exact integer recurrence),
-* Pochhammer symbols and the inverse-factorial expansion coefficients
-  of the even-exponent transformation.
+  s >= 1/2, the functional equation for s < 1/2).
 
-All functions are pure; the precomputed coefficient tables are
-immutable module constants, so everything here is safe to call from
-any number of threads.
+The tail factor's inverse-factorial coefficients are generated by
+their term ratio inside ``engine.tail_factor``.  All functions are
+pure; the precomputed coefficient tables are immutable module
+constants, so everything here is safe to call from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -22,19 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import DomainError, PoleError
 
-__all__ = [
-    "EULER_GAMMA",
-    "gamma_real",
-    "log_gamma",
-    "digamma_int",
-    "zeta_real",
-    "bernoulli_even",
-    "pochhammer",
-    "inv_factorial_coeff",
-    "inv_factorial_coeff_doubled",
-]
+__all__ = ["EULER_GAMMA", "gamma_real", "digamma_int", "zeta_real"]
 
 #: Euler-Mascheroni constant, correctly rounded to binary64.
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -125,7 +114,7 @@ def gamma_real(x: float) -> float:
         return math.pi / (_sin_pi(x) * gamma_real(1.0 - x))
     if x > 170.0:
         # Gamma overflows just past 171.6; go through logs.
-        lg = log_gamma(x)
+        lg = _log_gamma(x)
         return math.exp(lg) if lg < 709.0 else math.inf
     z = x - 1.0
     t = z + _LANCZOS_G + 0.5
@@ -135,14 +124,14 @@ def gamma_real(x: float) -> float:
     return _SQRT_TWO_PI * half_pow * math.exp(-t) * half_pow * _lanczos_series(z)
 
 
-def log_gamma(x: float) -> float:
+def _log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0, relative error <= 1e-13 up to x = 1e6."""
     x = _require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         # 0 < x < 1/2, so sin(pi x) > 0 and Gamma(x) > 0
-        return _LN_PI - math.log(_sin_pi(x)) - log_gamma(1.0 - x)
+        return _LN_PI - math.log(_sin_pi(x)) - _log_gamma(1.0 - x)
     z = x - 1.0
     t = z + _LANCZOS_G + 0.5
     return (
@@ -239,7 +228,7 @@ def zeta_real(s: float) -> float:
         mag = (
             s * _LN2
             + (s - 1.0) * _LN_PI
-            + log_gamma(1.0 - s)
+            + _log_gamma(1.0 - s)
             + math.log(abs(sin_term))
             + math.log(_zeta_alternating(1.0 - s))
         )
@@ -252,88 +241,3 @@ def zeta_real(s: float) -> float:
         * gamma_real(1.0 - s)
         * _zeta_alternating(1.0 - s)
     )
-
-
-# ----------------------------------------------------------------------
-# Bernoulli numbers
-# ----------------------------------------------------------------------
-
-
-def _bernoulli_even_table(n_max: int) -> tuple[float, ...]:
-    # Binomial recurrence sum_{r<=m} C(m+1, r) B_r = 0 over even
-    # indices only (odd B vanish beyond B_1 = -1/2), carried in exact
-    # rational arithmetic and rounded once at the end.  Deliberately
-    # independent of zeta_real: the zeta <-> Bernoulli identity stays
-    # available as a non-circular cross-check.
-    table = [Fraction(1)]
-    values = []
-    for m in range(1, n_max + 1):
-        acc = Fraction(2 * m + 1) * Fraction(-1, 2)
-        for j in range(m):
-            acc += math.comb(2 * m + 1, 2 * j) * table[j]
-        b = -acc / (2 * m + 1)
-        table.append(b)
-        values.append(float(b))
-    return tuple(values)
-
-
-_BERNOULLI_MAX = 60
-_BERNOULLI_EVEN = _bernoulli_even_table(_BERNOULLI_MAX)
-
-
-def bernoulli_even(n: int) -> float:
-    """B_{2n} for integer 1 <= n <= 60."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise RangeError("bernoulli_even requires an integer index")
-    if not 1 <= n <= _BERNOULLI_MAX:
-        raise RangeError(f"bernoulli_even supports 1 <= n <= {_BERNOULLI_MAX}, got {n}")
-    return _BERNOULLI_EVEN[n - 1]
-
-
-# ----------------------------------------------------------------------
-# Pochhammer symbols and expansion coefficients
-# ----------------------------------------------------------------------
-
-
-def pochhammer(x: float, j: int) -> float:
-    """Rising factorial x (x+1) ... (x+j-1); 1 for j = 0."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise DomainError("pochhammer requires an integer j >= 0")
-    x = _require_finite(x, "x")
-    acc = 1.0
-    for i in range(j):
-        acc *= x + i
-    return acc
-
-
-def inv_factorial_coeff(m: int, j: int) -> float:
-    """Coefficient (m)_j (m+1/2)_j / j! of the transformed-tail series.
-
-    Products and the factorial are interleaved so intermediates stay
-    bounded by the result.
-    """
-    _check_coeff_args(m, j)
-    acc = 1.0
-    for i in range(j):
-        acc *= (m + i) * (m + 0.5 + i) / (i + 1.0)
-    return acc
-
-
-def inv_factorial_coeff_doubled(m: int, j: int) -> float:
-    """Same coefficient via the equivalent form 2^(-2j) (2m)_{2j} / j!.
-
-    Kept as an independent closed form; the two routes agreeing to
-    1e-12 relative is a standing invariant of the test suite.
-    """
-    _check_coeff_args(m, j)
-    acc = 1.0
-    for i in range(j):
-        acc *= (2 * m + 2 * i) * (2 * m + 2 * i + 1) / (4.0 * (i + 1.0))
-    return acc
-
-
-def _check_coeff_args(m: int, j: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError("coefficient order m must be an integer >= 1")
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise DomainError("coefficient index j must be an integer >= 0")

@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .compensated import ComplexSum
 from .engine import (
@@ -24,15 +25,7 @@ from .errors import PrecisionError
 from .model import OPTIMAL, Fixed, SumSpec, TermLog
 from .oracle import direct_sum
 from .reference import W4_ROWS
-from .specfun import (
-    bernoulli_even,
-    digamma_int,
-    gamma_real,
-    inv_factorial_coeff,
-    inv_factorial_coeff_doubled,
-    pochhammer,
-    zeta_real,
-)
+from .specfun import digamma_int, gamma_real, zeta_real
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -57,6 +50,46 @@ def _check(suite: str, name: str, measured: float, bound: str, passed: bool) -> 
 # ----------------------------------------------------------------------
 
 
+def _bernoulli_even(n_max: int) -> tuple[float, ...]:
+    # B_2, B_4, ..., B_{2 n_max} from the binomial recurrence
+    # sum_{r<=m} C(m+1, r) B_r = 0 over even indices only (odd B vanish
+    # beyond B_1 = -1/2), in exact rationals rounded once at the end.
+    # Independent of zeta_real, so the zeta <-> Bernoulli identity is a
+    # non-circular cross-check.
+    table = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = Fraction(2 * m + 1) * Fraction(-1, 2)
+        for j in range(m):
+            acc += math.comb(2 * m + 1, 2 * j) * table[j]
+        table.append(-acc / (2 * m + 1))
+    return tuple(float(b) for b in table[1:])
+
+
+def _pochhammer(x: float, j: int) -> float:
+    # rising factorial x (x+1) ... (x+j-1); 1 for j = 0
+    acc = 1.0
+    for i in range(j):
+        acc *= x + i
+    return acc
+
+
+def _inv_factorial_coeff(m: int, j: int) -> float:
+    # tail-factor coefficient (m)_j (m+1/2)_j / j!, products and the
+    # factorial interleaved so intermediates stay bounded by the result
+    acc = 1.0
+    for i in range(j):
+        acc *= (m + i) * (m + 0.5 + i) / (i + 1.0)
+    return acc
+
+
+def _inv_factorial_coeff_doubled(m: int, j: int) -> float:
+    # the same coefficient through the closed form 2^(-2j) (2m)_{2j} / j!
+    acc = 1.0
+    for i in range(j):
+        acc *= (2 * m + 2 * i) * (2 * m + 2 * i + 1) / (4.0 * (i + 1.0))
+    return acc
+
+
 def checks_specfun() -> list[CheckResult]:
     out: list[CheckResult] = []
 
@@ -76,17 +109,17 @@ def checks_specfun() -> list[CheckResult]:
     out.append(_check("specfun", "zeta trivial zeros k=1..20", worst, "== 0 exactly", worst == 0.0))
 
     worst = 0.0
-    for n in range(1, 16):
+    for n, b in enumerate(_bernoulli_even(15), start=1):
         z = zeta_real(2.0 * n)
-        ident = (2.0 * math.pi) ** (2 * n) * abs(bernoulli_even(n)) / (2.0 * math.factorial(2 * n))
+        ident = (2.0 * math.pi) ** (2 * n) * abs(b) / (2.0 * math.factorial(2 * n))
         worst = max(worst, abs(z - ident) / z)
     out.append(_check("specfun", "bernoulli-zeta identity n=1..15", worst, "rel <= 1e-10", worst <= 1e-10))
 
     worst = 0.0
     for m in range(1, 6):
         for j in range(31):
-            c1 = inv_factorial_coeff(m, j)
-            c2 = inv_factorial_coeff_doubled(m, j)
+            c1 = _inv_factorial_coeff(m, j)
+            c2 = _inv_factorial_coeff_doubled(m, j)
             worst = max(worst, abs(c1 - c2) / c1)
     out.append(_check("specfun", "coefficient two-form equality", worst, "rel <= 1e-12", worst <= 1e-12))
 
@@ -184,7 +217,7 @@ def _literal_quadratic(a: float, terms: int, n_max: int) -> float:
     head = math.pi**2 / 6.0 + a / 2.0 - math.sqrt(math.pi * a)
     tail = 0.0
     for n in range(1, n_max + 1):
-        ups = sum(pochhammer(1.5, j) * (-a / (math.pi**2 * n * n)) ** j for j in range(terms))
+        ups = sum(_pochhammer(1.5, j) * (-a / (math.pi**2 * n * n)) ** j for j in range(terms))
         tail += math.exp(-math.pi**2 * n * n / a) / (n * n) * ups
     return head - (a / math.pi) ** 1.5 * tail
 
@@ -200,7 +233,7 @@ def _literal_quartic(a: float, terms: int, n_max: int) -> float:
     tail = 0.0
     for n in range(1, n_max + 1):
         ups = sum(
-            pochhammer(2.5, j) * pochhammer(2, j) / math.factorial(j)
+            _pochhammer(2.5, j) * _pochhammer(2, j) / math.factorial(j)
             * (-a / (math.pi**2 * n * n)) ** j
             for j in range(terms)
         )

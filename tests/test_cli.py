@@ -74,6 +74,21 @@ def test_eval_bad_policy(capsys):
     assert "policy" in err
 
 
+def test_eval_target_policy_takes_at_most_a_cap(capsys):
+    rc, out, err = run(capsys, "eval", "--a", "0.5", "--w", "4", "--policy", "target:1e-3:5:junk")
+    assert rc == 2
+    assert out == ""
+    assert "bad target policy" in err
+    rc, _, _ = run(capsys, "eval", "--a", "0.5", "--w", "4", "--policy", "target:1e-3:5")
+    assert rc == 0
+
+
+def test_eval_auto_routes_w0_to_pj(capsys):
+    rc, out, _ = run(capsys, "eval", "--a", "1", "--w", "0")
+    assert rc == 0
+    assert "method        pj" in out
+
+
 def test_eval_rejected_oracle_eps_prints_nothing(capsys):
     # the oracle's eps check runs before the report is printed
     rc, out, err = run(capsys, "eval", "--a", "1", "--w", "4", "--eps", "1e-20")

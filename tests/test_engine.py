@@ -6,7 +6,6 @@ import math
 import pytest
 
 from thetasum import (
-    EULER_GAMMA,
     OPTIMAL,
     DomainError,
     ErrorTarget,
@@ -19,19 +18,16 @@ from thetasum import (
     SumSpec,
     TermLog,
     classical_pj_rhs,
-    digamma_int,
     direct_sum,
     eval_even,
     eval_generic,
     evaluate,
-    gamma_real,
-    optimal_index_w4,
     remainder_slope,
-    singular_term,
-    tail_factor,
 )
+from thetasum.engine import singular_term, tail_factor
 from thetasum.reference import W4_ROWS
-from thetasum.verify import _literal_quadratic, _literal_quartic
+from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
+from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -154,8 +150,6 @@ def test_generic_fixed_partial_sums_nest():
     t0 = eval_generic(spec, Fixed(1)).value
     t1 = eval_generic(spec, Fixed(2)).value
     # first included term is zeta(w) a^0, second -zeta(w-2) a
-    from thetasum import zeta_real
-
     assert t0 == pytest.approx(j + zeta_real(1.5), rel=1e-14)
     assert t1 == pytest.approx(j + zeta_real(1.5) - zeta_real(-0.5) * 0.05, rel=1e-14)
 
@@ -356,12 +350,10 @@ def test_tail_factor_error_target_never_past_least_term():
 
 
 def test_tail_factor_partial_sum_matches_coefficients():
-    from thetasum import inv_factorial_coeff
-
     a, m, n = 0.8, 2, 1
     value, _, _ = tail_factor(a, m, n, Fixed(4))
     x = -a / (math.pi**2 * n * n)
-    brute = sum(inv_factorial_coeff(m, j) * x**j for j in range(4))
+    brute = sum(_inv_factorial_coeff(m, j) * x**j for j in range(4))
     assert value == pytest.approx(brute, rel=1e-14)
 
 
@@ -378,10 +370,11 @@ def test_tail_factor_domain():
 
 
 def test_reference_predictor_w4():
-    assert optimal_index_w4(1.0) == pytest.approx(math.pi**2 - 2.5, rel=1e-15)
-    # prediction tracks the reference least-term index
-    assert abs(optimal_index_w4(0.25) - 36) <= 2
-    assert abs(optimal_index_w4(1.0) - 6) <= 2
+    # the least-term index of the first w = 4 tail factor tracks the
+    # reference predictor pi^2 / a - 5/2
+    for a in (0.25, 1.0):
+        _, j_used, _ = tail_factor(a, 2, 1)
+        assert abs((j_used - 1) - (math.pi**2 / a - 2.5)) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +426,15 @@ def test_dispatch_classical_honours_n_max():
     for bad in (0, 1.0, "auto"):
         with pytest.raises(DomainError):
             evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=bad)
+
+
+def test_dispatch_classical_stops_at_an_underflowed_term():
+    # at a = 0.7 every dual term past n ~ 8 underflows to exactly 0
+    spec = SumSpec(0.7, 0.0)
+    long = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=200000)
+    assert repr(long.value) == repr(evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=12).value)
+    assert long.terms_used["n"] < 50
+    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3).terms_used == {"n": 3}
 
 
 # ----------------------------------------------------------------------
@@ -506,3 +508,51 @@ def test_evaluation_validation():
             err_estimate=0.0,
             term_log=TermLog(),
         )
+
+
+# ----------------------------------------------------------------------
+# public surface
+# ----------------------------------------------------------------------
+
+
+def test_public_surface():
+    import thetasum
+
+    assert thetasum.__all__ == [
+        "__version__",
+        "SumSpec",
+        "Fixed",
+        "OptimalFirstMin",
+        "OPTIMAL",
+        "ErrorTarget",
+        "TruncationPolicy",
+        "MethodChoice",
+        "TermLog",
+        "Evaluation",
+        "OracleResult",
+        "direct_sum",
+        "evaluate",
+        "eval_generic",
+        "eval_even",
+        "classical_pj_rhs",
+        "remainder_slope",
+        "ThetaSumError",
+        "DomainError",
+        "PoleError",
+        "EvenExponentError",
+        "MismatchError",
+        "ConvergenceError",
+        "PrecisionError",
+    ]
+    assert all(hasattr(thetasum, name) for name in thetasum.__all__)
+    removed = (
+        "bernoulli_even",
+        "pochhammer",
+        "inv_factorial_coeff",
+        "log_gamma",
+        "optimal_index_w4",
+        "RangeError",
+        "zeta_real",
+        "tail_factor",
+    )
+    assert not any(hasattr(thetasum, name) for name in removed)

@@ -12,9 +12,9 @@ from thetasum import (
     SumSpec,
     classical_pj_rhs,
     direct_sum,
-    zeta_real,
 )
 from thetasum.compensated import ComplexSum
+from thetasum.specfun import zeta_real
 
 EPS_MACH = 2.220446049250313e-16
 

@@ -1,4 +1,8 @@
-"""Special-function kernel: frozen examples plus standing invariants."""
+"""Special-function kernel: frozen examples plus standing invariants.
+
+The Bernoulli-number and coefficient tests check the private helpers
+of ``thetasum.verify``, which its cross-checks are built on.
+"""
 
 import math
 import random
@@ -6,21 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from thetasum import (
+from thetasum import DomainError, PoleError
+from thetasum.specfun import (
     EULER_GAMMA,
-    DomainError,
-    PoleError,
-    RangeError,
-    bernoulli_even,
+    _log_gamma,
+    _zeta_alternating,
     digamma_int,
     gamma_real,
-    inv_factorial_coeff,
-    inv_factorial_coeff_doubled,
-    log_gamma,
-    pochhammer,
     zeta_real,
 )
-from thetasum.specfun import _zeta_alternating
+from thetasum.verify import (
+    _bernoulli_even,
+    _inv_factorial_coeff,
+    _inv_factorial_coeff_doubled,
+    _pochhammer,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -87,27 +91,27 @@ def test_gamma_rejects_non_finite():
 
 
 def test_log_gamma_at_integers():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
+    assert _log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert _log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_log_gamma_matches_gamma():
     for x in (0.1, 0.75, 1.5, 10.5, 42.0, 120.0):
-        assert rel(math.exp(log_gamma(x)), gamma_real(x)) < 1e-12
+        assert rel(math.exp(_log_gamma(x)), gamma_real(x)) < 1e-12
 
 
 def test_log_gamma_large_argument():
     # Stirling cross-check: ln Gamma(x) ~ (x - 1/2) ln x - x + ln sqrt(2 pi) + 1/(12x)
     x = 1e6
     stirling = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + 1.0 / (12.0 * x)
-    assert rel(log_gamma(x), stirling) < 1e-13
+    assert rel(_log_gamma(x), stirling) < 1e-13
 
 
 def test_log_gamma_domain():
     with pytest.raises(DomainError):
-        log_gamma(0.0)
+        _log_gamma(0.0)
     with pytest.raises(DomainError):
-        log_gamma(-3.2)
+        _log_gamma(-3.2)
 
 
 # ----------------------------------------------------------------------
@@ -199,31 +203,20 @@ def test_zeta_near_pole_accuracy():
 
 
 def test_bernoulli_first_values():
-    assert bernoulli_even(1) == float(Fraction(1, 6))
-    assert bernoulli_even(2) == float(Fraction(-1, 30))
-    assert bernoulli_even(3) == float(Fraction(1, 42))
+    assert _bernoulli_even(3) == (float(Fraction(1, 6)), float(Fraction(-1, 30)), float(Fraction(1, 42)))
 
 
 def test_bernoulli_zeta_cross_check():
     # (2 pi)^2 |B_2| / (2 * 2!) = pi^2 / 6 = zeta(2)
-    ident = (2.0 * math.pi) ** 2 * abs(bernoulli_even(1)) / (2.0 * math.factorial(2))
+    ident = (2.0 * math.pi) ** 2 * abs(_bernoulli_even(1)[0]) / (2.0 * math.factorial(2))
     assert rel(ident, math.pi**2 / 6.0) < 1e-14
 
 
 def test_bernoulli_zeta_identity_range():
-    for n in range(1, 16):
+    for n, b in enumerate(_bernoulli_even(15), start=1):
         z = zeta_real(2.0 * n)
-        ident = (2.0 * math.pi) ** (2 * n) * abs(bernoulli_even(n)) / (2.0 * math.factorial(2 * n))
+        ident = (2.0 * math.pi) ** (2 * n) * abs(b) / (2.0 * math.factorial(2 * n))
         assert abs(z - ident) / z <= 1e-10
-
-
-def test_bernoulli_range_errors():
-    with pytest.raises(RangeError):
-        bernoulli_even(0)
-    with pytest.raises(RangeError):
-        bernoulli_even(61)
-    with pytest.raises(RangeError):
-        bernoulli_even(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -232,39 +225,27 @@ def test_bernoulli_range_errors():
 
 
 def test_pochhammer_basics():
-    assert pochhammer(1.5, 0) == 1.0
-    assert pochhammer(1.5, 2) == pytest.approx(3.75, rel=1e-15)
+    assert _pochhammer(1.5, 0) == 1.0
+    assert _pochhammer(1.5, 2) == pytest.approx(3.75, rel=1e-15)
     for j in range(8):
-        assert pochhammer(1.0, j) == pytest.approx(math.factorial(j), rel=1e-14)
-
-
-def test_pochhammer_domain():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
+        assert _pochhammer(1.0, j) == pytest.approx(math.factorial(j), rel=1e-14)
 
 
 def test_coeff_leading_and_spot_values():
     for m in (1, 2, 5):
-        assert inv_factorial_coeff(m, 0) == 1.0
+        assert _inv_factorial_coeff(m, 0) == 1.0
     # the m = 1 coefficients reduce to the single rising factorial (3/2)_j
     for j in range(12):
-        assert rel(inv_factorial_coeff(1, j), pochhammer(1.5, j)) < 1e-13
-    assert inv_factorial_coeff(2, 1) == pytest.approx(5.0, rel=1e-14)
+        assert rel(_inv_factorial_coeff(1, j), _pochhammer(1.5, j)) < 1e-13
+    assert _inv_factorial_coeff(2, 1) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_coeff_two_forms_agree():
     for m in range(1, 6):
         for j in range(31):
-            c1 = inv_factorial_coeff(m, j)
-            c2 = inv_factorial_coeff_doubled(m, j)
+            c1 = _inv_factorial_coeff(m, j)
+            c2 = _inv_factorial_coeff_doubled(m, j)
             assert abs(c1 - c2) / c1 <= 1e-12
-
-
-def test_coeff_domain():
-    with pytest.raises(DomainError):
-        inv_factorial_coeff(0, 3)
-    with pytest.raises(DomainError):
-        inv_factorial_coeff(2, -1)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +258,7 @@ def test_cross_check_scipy():
     for x in (0.25, 1.7, 9.3, 33.3, -4.4, -0.3):
         assert rel(gamma_real(x), float(special.gamma(x))) < 1e-12
     for x in (0.2, 3.7, 150.0, 2e5):
-        assert rel(log_gamma(x), float(special.gammaln(x))) < 1e-12
+        assert rel(_log_gamma(x), float(special.gammaln(x))) < 1e-12
     for m in (0, 1, 7, 40):
         assert abs(digamma_int(m) - float(special.digamma(m + 1))) < 1e-13
     for s in (1.5, 2.5, 6.0, 25.0):
