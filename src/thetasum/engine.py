@@ -20,14 +20,19 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   series tail_factor(a; m, n) with inverse-factorial coefficients.
 
 The k-sum and the tail-factor series diverge; ``_truncate`` cuts both.
-Everything is pure and thread safe.  Each series stops at a fixed cap
-(_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with a Fixed or
-ErrorTarget policy, or the dual sum with n_max.
+Everything is pure and thread safe.  The coefficients that depend on w
+alone -- zeta(w - 2k) and the singular term's Gamma or digamma
+constant -- are memoised per exponent in fixed-size caches
+(functools.lru_cache, thread safe); a value does not depend on what the
+caches hold.  Each series stops at a fixed cap (_K_CAP, _J_CAP,
+_N_CAP); a caller caps a run further with a Fixed or ErrorTarget
+policy, or the dual sum with n_max.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import statistics
@@ -85,6 +90,11 @@ _K_CAP = 400
 _J_CAP = 2000
 _N_CAP = 50
 
+# Entries held by the per-exponent memos: (w, k) pairs of zeta(w - 2k),
+# and exponents of the singular-term constant.
+_ZETA_MEMO = 4096
+_SINGULAR_MEMO = 256
+
 
 # ----------------------------------------------------------------------
 # exponent classification
@@ -119,6 +129,30 @@ def _require_positive_int(value: int, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
     return value
+
+
+# ----------------------------------------------------------------------
+# per-exponent coefficients, memoised
+# ----------------------------------------------------------------------
+
+# Every coefficient below depends on w alone.  On a miss each memo calls
+# the module-global specfun name, so a caller that rebinds that name
+# sees every call that runs.
+
+
+@functools.lru_cache(maxsize=_ZETA_MEMO)
+def _zeta_k(w: float, k: int) -> float:
+    return zeta_real(w - 2.0 * k)
+
+
+@functools.lru_cache(maxsize=_SINGULAR_MEMO)
+def _singular_const(w: float) -> tuple[Optional[int], float]:
+    # (m, psi(m+1) / 2) for w = 2m+1 within tolerance, else
+    # (None, Gamma((1-w)/2) / 2); w > 0 and not even
+    m = _odd_m(w)
+    if m is not None:
+        return m, 0.5 * digamma_int(m)
+    return None, 0.5 * gamma_real(0.5 - 0.5 * w)
 
 
 # ----------------------------------------------------------------------
@@ -242,24 +276,22 @@ def singular_term(spec: SumSpec) -> complex:
         raise EvenExponentError(
             f"w = {w} is an even integer; use the even-exponent transformation"
         )
-    m = _odd_m(w)
+    m, c = _singular_const(w)
     if m is not None:
-        # digamma_int(m) is psi(m+1)
-        return ((-a) ** m / math.factorial(m)) * (
-            EULER_GAMMA - 0.5 * cmath.log(a) + 0.5 * digamma_int(m)
-        )
-    return 0.5 * gamma_real(0.5 - 0.5 * w) * a ** ((w - 1.0) / 2.0)
+        return ((-a) ** m / math.factorial(m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + c)
+    return c * a ** ((w - 1.0) / 2.0)
 
 
-def _k_terms(a: complex, w: float, log: TermLog) -> Iterator[tuple[complex, float]]:
+def _k_terms(
+    a: complex, w: float, log: TermLog, m_skip: Optional[int]
+) -> Iterator[tuple[complex, float]]:
     # (-1)^k zeta(w - 2k) a^k / k! and its magnitude for k = 0, 1, ...,
-    # skipping k = m when w = 2m+1; each term is logged as it is made
-    m_skip = _odd_m(w)
+    # skipping k = m_skip; each term is logged as it is made
     apow: complex = 1.0 + 0j  # a^k / k!
     k = 0
     while True:
         if k != m_skip:
-            term = zeta_real(w - 2.0 * k) * apow
+            term = _zeta_k(w, k) * apow
             if k & 1:
                 term = -term
             mag = abs(term)
@@ -289,7 +321,11 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         )
     log = TermLog()
     acc = ComplexSum(singular_term(spec))
-    included, least, last = _truncate(_k_terms(a, w, log), policy, _K_CAP, acc, rel_floor=_REL_FLOOR)
+    # the k = m term of an odd w lives in the singular term
+    m_skip, _ = _singular_const(w)
+    included, least, last = _truncate(
+        _k_terms(a, w, log, m_skip), policy, _K_CAP, acc, rel_floor=_REL_FLOOR
+    )
     return Evaluation(
         value=acc.value,
         method=MethodChoice.GENERIC,
@@ -396,7 +432,7 @@ def eval_even(
     acc = ComplexSum()
 
     acc.add(0.5 * _gamma_half_minus(m) * a ** (m - 0.5))
-    for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log), m + 1):
+    for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log, None), m + 1):
         acc.add(term)
 
     pref = (a / math.pi) ** (2 * m - 0.5)

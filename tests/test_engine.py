@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,6 +26,7 @@ from thetasum import (
     evaluate,
     remainder_slope,
 )
+from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
 from thetasum.reference import W4_ROWS
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
@@ -472,6 +475,99 @@ def test_remainder_slope_preconditions():
         remainder_slope(1.3, 2, [0.3, 0.15, 0.075, 0.0375])  # out of range
     with pytest.raises(DomainError):
         remainder_slope(1.3, 2, [0.1, 0.05, 0.03, 0.0125])  # not geometric
+
+
+# ----------------------------------------------------------------------
+# per-exponent memo
+# ----------------------------------------------------------------------
+
+MEMO_W = (0.3, 1.5, 2.98, 3.0, 3.03, 4.0, 5.25, 6.0, 7.0)
+MEMO_A = [cmath.rect(r, t) for r in (0.003, 0.03, 0.3, 1.0) for t in (0.0, 0.7, -1.2)]
+MEMO_POLICIES = (OPTIMAL, Fixed(3), ErrorTarget(1e-8))
+
+
+def _clear_memos():
+    engine._zeta_k.cache_clear()
+    engine._singular_const.cache_clear()
+
+
+def _route(spec, policy=OPTIMAL):
+    # the even transformation at w = 2m, the generic expansion elsewhere
+    if spec.w % 2.0 == 0.0:
+        return evaluate(spec, MethodChoice.EVEN_TRANSFORM, policy)
+    return eval_generic(spec, policy)
+
+
+def _memo_grid():
+    return [
+        (w, a, _route(SumSpec(a, w), policy))
+        for w in MEMO_W
+        for a in MEMO_A
+        for policy in MEMO_POLICIES
+    ]
+
+
+def test_memo_cold_and_warm_results_are_identical():
+    # repr(Evaluation) covers value, terms_used, err_estimate and every
+    # TermLog entry
+    _clear_memos()
+    cold = [repr(ev) for _, _, ev in _memo_grid()]
+    warm = _memo_grid()
+    assert [repr(ev) for _, _, ev in warm] == cold
+    for w, a, ev in warm:
+        for k, mag in ev.term_log.series("k"):
+            want = abs(zeta_real(w - 2 * k) * a**k / math.factorial(k))
+            assert mag == pytest.approx(want, rel=1e-12, abs=0.0), (w, a, k)
+
+
+def test_memo_misses_go_through_engine_names(monkeypatch):
+    _clear_memos()
+    zetas, gammas = [], []
+
+    def counting_zeta(s):
+        zetas.append(s)
+        return zeta_real(s)
+
+    def counting_gamma(x):
+        gammas.append(x)
+        return gamma_real(x)
+
+    monkeypatch.setattr(engine, "zeta_real", counting_zeta)
+    monkeypatch.setattr(engine, "gamma_real", counting_gamma)
+    w = 1.25
+    first = eval_generic(SumSpec(0.1, w))
+    assert zetas == [w - 2.0 * k for k, _ in first.term_log.series("k")]
+    assert gammas == [0.5 - 0.5 * w]
+    # a smaller |a| needs no more k-terms: every coefficient is a hit
+    second = eval_generic(SumSpec(complex(0.02, 0.005), w))
+    assert second.terms_used["k"] <= first.terms_used["k"]
+    assert len(zetas) == len(first.term_log.series("k"))
+    assert len(gammas) == 1
+    for memo in (engine._zeta_k, engine._singular_const):
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_memo_is_thread_safe():
+    specs = [
+        SumSpec(cmath.rect(0.002 * 1.5 ** (i % 12), 0.1 * (i % 9) - 0.4), MEMO_W[i % len(MEMO_W)])
+        for i in range(200)
+    ]
+
+    def one(spec):
+        return repr(_route(spec))
+
+    _clear_memos()
+    sequential = [one(spec) for spec in specs]
+    _clear_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(one, specs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
 
 
 # ----------------------------------------------------------------------
