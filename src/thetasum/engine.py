@@ -421,8 +421,12 @@ def eval_even(
     dual sum stops at the first n whose undecorated magnitude
     exp(-pi^2 n^2 Re(1/a)) / n^(2m) falls below 1e-18 of the value
     accumulated so far (that term is still included), capped at the
-    n-series cap.  err_estimate combines the first omitted tail-factor
-    term at n = 1 with the first omitted dual term.
+    n-series cap.  A dual term whose weight exp(-pi^2 n^2 / a)
+    underflows to exactly 0 (Re(1/a) above about 75.5) is 0 whatever
+    its tail factor, so the factor is not computed: that n logs no
+    j-series, and at n = 1 the reported j count is 0.  err_estimate
+    combines the first omitted tail-factor term at n = 1 with the first
+    omitted dual term.
     """
     a, w = spec.a, spec.w
     _require_positive_int(m, "m")
@@ -450,8 +454,13 @@ def eval_even(
         raw = (math.exp(expo) if expo > -745.0 else 0.0) / n ** (2 * m)
         # auto rule: this n is the last one worth including
         last = auto and raw < _REL_FLOOR * abs(acc.value)
-        ups, j_used, fo = tail_factor(a, m, n, policy, log=log, series=f"j[n={n}]")
-        term = pref * ups * cmath.exp(-_PI2 * n * n / a) / n ** (2 * m)
+        weight = cmath.exp(-_PI2 * n * n / a)
+        if weight:
+            ups, j_used, fo = tail_factor(a, m, n, policy, log=log, series=f"j[n={n}]")
+            term = pref * ups * weight / n ** (2 * m)
+        else:
+            # an underflowed weight zeroes the term whatever the factor
+            term, j_used, fo = 0j, 0, 0.0
         log.log("n", n, abs(term))
         acc.add(term)
         n_used = n

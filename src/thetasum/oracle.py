@@ -1,9 +1,12 @@
 """Ground-truth direct summation of sum_{n>=1} exp(-a n^2) / n^w.
 
 Every expansion in this package is tested against this module.  The
-sum is accumulated with compensated summation and stopped by a
-rigorous geometric tail bound on the omitted terms; see _tail_bound
-for the inequality.
+cutoff is solved once, before any term is made: the smallest n whose
+rigorous geometric tail bound on the omitted terms (see _tail_bound
+for the inequality) is within the tolerance, found by galloping out
+from a closed-form estimate and bisecting.  The n terms are then summed
+with math.fsum, real and imaginary parts apart, in blocks of _BLOCK
+terms so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .compensated import ComplexSum
 from .errors import ConvergenceError, DomainError
 from .model import SumSpec
 
@@ -26,15 +28,22 @@ MAX_TERMS = 10_000_000
 _EPS_FLOOR = 1e-16
 _MACHINE_EPS = sys.float_info.epsilon
 
+#: Terms made and summed at a time; bounds the memory a long sum holds.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class OracleResult:
     """Direct-summation result with rigorous accuracy accounting.
 
-    ``tail_bound`` bounds the omitted tail exactly; ``rounding_bound``
-    estimates accumulated floating-point error as
-    n_terms * machine_epsilon * sum |term|.  A comparison against the
-    oracle is only meaningful above their sum.
+    ``n_terms`` is the cutoff solved before summing: the smallest n
+    whose ``tail_bound`` on the omitted tail is within the requested
+    eps.  ``value`` is the math.fsum of the n terms, taken block by
+    block with each block's running part carried into the next.
+    ``rounding_bound`` estimates accumulated floating-point error as
+    n_terms * machine_epsilon * sum |term|, a conservative budget for
+    that summation.  A comparison against the oracle is only
+    meaningful above their sum.
     """
 
     value: complex
@@ -63,13 +72,69 @@ def _tail_bound(re_a: float, w: float, n: int) -> float:
     return mag / ((n + 1.0) ** w * denom)
 
 
+def _stop_index(re_a: float, w: float, eps: float) -> int:
+    """Smallest n >= 1 with _tail_bound(re_a, w, n) <= eps.
+
+    The bound falls as n grows, so the test is monotone in n.  The
+    guess solves exp(-re_a n^2) / n^w = eps with log n taken at
+    sqrt(-log(eps) / re_a).  The search gallops out from it with
+    doubling steps until it brackets the crossing, then bisects: a
+    number of _tail_bound calls logarithmic in the distance between
+    the guess and the answer.  Raises ConvergenceError when no
+    n <= MAX_TERMS qualifies.
+    """
+    target = -math.log(eps)
+    n2 = (target - 0.5 * w * math.log(target / re_a)) / re_a if target > 0.0 else 0.0
+    guess = min(max(1, int(math.sqrt(max(0.0, n2)))), MAX_TERMS)
+    step = 1
+    # bracket: lo == 0 or lo misses eps, and hi meets it
+    if _tail_bound(re_a, w, guess) <= eps:
+        hi, lo = guess, guess - 1
+        while lo > 0 and _tail_bound(re_a, w, lo) <= eps:
+            step *= 2
+            hi, lo = lo, max(lo - step, 0)
+    else:
+        lo = guess
+        while True:
+            if lo >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"direct summation exceeded {MAX_TERMS} terms at eps={eps}; "
+                    "convergence is too slow, use an expansion method"
+                )
+            hi = min(lo + step, MAX_TERMS)
+            if _tail_bound(re_a, w, hi) <= eps:
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_bound(re_a, w, mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _condense(parts: list[float]) -> list[float]:
+    """Two floats that carry sum(parts) into the next block's fsum.
+
+    The first is the sum rounded once; the second is what that rounding
+    dropped, itself rounded once.  Their total is within about 2**-106
+    of the exact sum, so the blockwise sum rounds like one math.fsum
+    over every term.
+    """
+    total = math.fsum(parts)
+    parts.append(-total)
+    return [total, math.fsum(parts)]
+
+
 def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     """Sum exp(-a n^2)/n^w until the rigorous tail bound drops to eps.
 
     eps below 1e-16 is rejected: binary64 cannot certify tighter.
     Raises ConvergenceError when the cutoff would exceed the iteration
     budget (Re(a) too small for direct summation at the requested
-    tolerance).
+    tolerance); the cutoff is solved before any term is summed, so
+    that error comes without the summing.
     """
     eps = float(eps)
     if not eps >= _EPS_FLOOR:
@@ -78,27 +143,34 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     w = spec.w
     re_a = a.real
     # a-priori reach check so hopeless requests fail fast
-    n_est = math.sqrt((-math.log(eps) + 5.0) / re_a)
+    n_est = math.sqrt(max(0.0, -math.log(eps) + 5.0) / re_a)
     if n_est > 1.05 * MAX_TERMS:
         raise ConvergenceError(
             f"direct summation needs ~{n_est:.2e} terms at eps={eps}; "
             "convergence is too slow, use an expansion method"
         )
-    acc = ComplexSum()
+    n = _stop_index(re_a, w, eps)
+    neg_a = -a
+    # real and imaginary parts still to be summed; the leading +0.0
+    # keeps an all-zero part from summing to -0.0
+    re_parts = [0.0]
+    im_parts = [0.0]
     abs_acc = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n > MAX_TERMS:
-            raise ConvergenceError(
-                f"direct summation exceeded {MAX_TERMS} terms at eps={eps}; "
-                "convergence is too slow, use an expansion method"
-            )
-        term = cmath.exp(-a * (n * n)) / math.pow(n, w)
-        acc.add(term)
-        abs_acc += abs(term)
-        tb = _tail_bound(re_a, w, n)
-        if tb <= eps:
-            break
+    for start in range(1, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        for k in range(start, stop):
+            term = cmath.exp(neg_a * (k * k)) / math.pow(k, w)
+            re_parts.append(term.real)
+            im_parts.append(term.imag)
+            # plain left-to-right binary64, as the rounding budget assumes
+            abs_acc += abs(term)
+        if stop <= n:
+            re_parts = _condense(re_parts)
+            im_parts = _condense(im_parts)
     rounding = n * _MACHINE_EPS * abs_acc
-    return OracleResult(value=acc.value, n_terms=n, tail_bound=tb, rounding_bound=rounding)
+    return OracleResult(
+        value=complex(math.fsum(re_parts), math.fsum(im_parts)),
+        n_terms=n,
+        tail_bound=_tail_bound(re_a, w, n),
+        rounding_bound=rounding,
+    )

@@ -103,6 +103,13 @@ def test_eval_complex_argument(capsys):
     assert "value_im" in out
 
 
+def test_eval_even_with_underflowed_dual_weight_prints_no_j0(capsys):
+    rc, out, _ = run(capsys, "eval", "--a", "0.01", "--w", "4")
+    assert rc == 0
+    assert "terms         j=0 k=3 n=1" in out
+    assert "j0 j[n=1]" not in out
+
+
 # ----------------------------------------------------------------------
 # table1
 # ----------------------------------------------------------------------

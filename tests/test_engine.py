@@ -285,6 +285,37 @@ def test_even_auto_n_keeps_neglected_terms_small():
     assert omitted <= ev.err_estimate
 
 
+def _count_tail_factor_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tail_factor(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "tail_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a", [0.01, 0.005 + 0.002j])
+@pytest.mark.parametrize("m", [2, 3])
+def test_even_skips_dual_terms_whose_weight_underflows(monkeypatch, a, m):
+    # Re(1/a) >= 100: exp(-pi^2 n^2 / a) is exactly 0 for every n
+    calls = _count_tail_factor_calls(monkeypatch)
+    spec = SumSpec(a, 2.0 * m)
+    ev = eval_even(spec, m, OPTIMAL)
+    assert calls == []
+    assert ev.terms_used["j"] == 0
+    assert not any(name.startswith("j[n=") for name, _, _ in ev.term_log.entries)
+    assert abs(ev.value - direct_sum(spec).value) <= 1e-12
+
+
+def test_even_keeps_dual_terms_whose_weight_is_nonzero(monkeypatch):
+    calls = _count_tail_factor_calls(monkeypatch)
+    ev = eval_even(SumSpec(0.1, 4.0), 2, OPTIMAL, n_max=1)
+    assert len(calls) == 1
+    assert ev.terms_used["j"] - 1 == W4_ROWS[0].j0
+
+
 # ----------------------------------------------------------------------
 # tail factor
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from thetasum import oracle
 from thetasum import (
     ConvergenceError,
     DomainError,
@@ -109,6 +111,88 @@ def test_complex_parameter():
     # brute-force cross sum with generous fixed cutoff
     brute = sum(cmath.exp(-spec.a * n * n) / n**2 for n in range(1, 40))
     assert abs(res.value - brute) < 1e-14
+
+
+def test_stop_index_matches_a_linear_scan():
+    rng = random.Random(20261018)
+    at_one = 0
+    for i in range(300):
+        re_a = math.exp(rng.uniform(math.log(1e-6), math.log(100.0)))
+        w = (0.0, 12.0, rng.uniform(0.0, 20.0))[i % 3]
+        eps = math.exp(rng.uniform(math.log(1e-16), math.log(10.0)))
+        n = 1
+        while oracle._tail_bound(re_a, w, n) > eps:
+            n += 1
+        assert oracle._stop_index(re_a, w, eps) == n, (re_a, w, eps)
+        if eps > 1.0 and n == 1:
+            at_one += 1
+    # the estimate's log(eps) < 0 side is exercised, not only small eps
+    assert at_one >= 10
+
+
+def test_loose_eps_stops_at_the_first_term():
+    # above eps = e^5 the reach estimate's radicand is negative
+    res = direct_sum(SumSpec(1.0, 2.0), 1e3)
+    assert res.n_terms == 1
+    assert res.value == cmath.exp(-1.0)
+    assert res.tail_bound <= 1e3
+
+
+def test_stop_index_past_the_budget_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_TERMS", 100)
+    with pytest.raises(ConvergenceError) as info:
+        oracle._stop_index(1e-3, 1.5, 1e-16)
+    assert str(info.value) == (
+        "direct summation exceeded 100 terms at eps=1e-16; "
+        "convergence is too slow, use an expansion method"
+    )
+
+
+def test_budget_error_comes_before_any_term(monkeypatch):
+    # passes the a-priori reach check but needs ~1.1e7 terms
+    def no_terms(z):
+        raise AssertionError("a term was made")
+
+    monkeypatch.setattr(oracle, "cmath", SimpleNamespace(exp=no_terms))
+    with pytest.raises(ConvergenceError, match=f"exceeded {oracle.MAX_TERMS} terms at eps=1e-16"):
+        direct_sum(SumSpec(4e-13, 0.0))
+
+
+def test_sum_over_several_blocks():
+    a, w = 1e-7, 1.5
+    res = direct_sum(SumSpec(a, w))
+    assert res.n_terms > oracle._BLOCK
+    reference, _ = plain_partial(complex(a), w, res.n_terms)
+    assert abs(res.value - reference) <= res.rounding_bound
+
+
+@pytest.mark.parametrize("a", [0.01 + 0.005j, 1e-3, 0.3 - 0.2j])
+def test_block_size_does_not_move_the_value(monkeypatch, a):
+    # the carry between blocks keeps the sum rounded once
+    whole = direct_sum(SumSpec(a, 1.5))
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    assert direct_sum(SumSpec(a, 1.5)) == whole
+
+
+def test_oracle_sound_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(6)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            a = cmath.rect(math.exp(rng.uniform(math.log(1e-3), math.log(4.0))), rng.uniform(-1.4, 1.4))
+            w = rng.uniform(0.0, 8.0)
+            res = direct_sum(SumSpec(a, w))
+            ma, mw = mpmath.mpc(a), mpmath.mpf(w)
+            exact = mpmath.mpc(0)
+            n = 0
+            while True:
+                n += 1
+                term = mpmath.exp(-ma * n * n) / mpmath.power(n, mw)
+                exact += term
+                if n > res.n_terms and abs(term) < mpmath.mpf(10) ** -45:
+                    break
+            err = float(abs(mpmath.mpc(res.value) - exact))
+            assert err <= res.tail_bound + res.rounding_bound, (a, w, err)
 
 
 def test_complex_sum_compensates_each_component():
