@@ -20,6 +20,10 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   series tail_factor(a; m, n) with inverse-factorial coefficients.
 
 The k-sum and the tail-factor series diverge; ``_truncate`` cuts both.
+Every series collects its terms in a list and takes its value from
+``_complex_fsum``, math.fsum over the real and the imaginary parts
+apart, so each value is the correctly rounded sum of its terms, as the
+oracle's is.  A plain binary64 running sum serves the stop tests only.
 Everything is pure and thread safe.  The coefficients that depend on w
 alone -- zeta(w - 2k) and the singular term's Gamma or digamma
 constant -- are memoised per exponent in fixed-size caches
@@ -36,9 +40,9 @@ import functools
 import itertools
 import math
 import statistics
+import sys
 from typing import Iterator, Optional
 
-from .compensated import ComplexSum
 from .errors import (
     DomainError,
     EvenExponentError,
@@ -89,6 +93,9 @@ _REL_FLOOR = 1e-18
 _K_CAP = 400
 _J_CAP = 2000
 _N_CAP = 50
+
+# The largest m whose m! is finite in binary64.
+_FACTORIAL_MAX = 170
 
 # Entries held by the per-exponent memos: (w, k) pairs of zeta(w - 2k),
 # and exponents of the singular-term constant.
@@ -151,6 +158,9 @@ def _singular_const(w: float) -> tuple[Optional[int], float]:
     # (None, Gamma((1-w)/2) / 2); w > 0 and not even
     m = _odd_m(w)
     if m is not None:
+        if m > _FACTORIAL_MAX:
+            # refused before digamma_int, whose exact sum takes O(m^2)
+            raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
         return m, 0.5 * digamma_int(m)
     return None, 0.5 * gamma_real(0.5 - 0.5 * w)
 
@@ -184,18 +194,20 @@ def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
     abs_root = abs(root)
     re_inv = (1.0 / a).real
     log = TermLog()
-    dual = ComplexSum()
+    dual: list[complex] = []
     head = 0.5 * root - 0.5
+    running = head
     for n in range(1, (_N_CAP if n_max is None else n_max) + 1):
         term = root * cmath.exp(-_PI2 * n * n / a)
         log.log("n", n, abs(term))
-        dual.add(term)
+        dual.append(term)
+        running += term
         expo = -_PI2 * (n + 1) * (n + 1) * re_inv
         next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
-        if term == 0 or (n_max is None and next_mag < 1e-17 * abs(head + dual.value)):
+        if term == 0 or (n_max is None and next_mag < 1e-17 * abs(running)):
             break
     return Evaluation(
-        value=head + dual.value,
+        value=head + _complex_fsum(dual),
         method=MethodChoice.CLASSICAL_PJ,
         terms_used={"n": n},
         err_estimate=next_mag,
@@ -212,22 +224,26 @@ def _truncate(
     terms: Iterator[tuple[complex, float]],
     policy: TruncationPolicy,
     cap: int,
-    acc: ComplexSum,
+    kept: list[complex],
     *,
     lead: Optional[complex] = None,
     rel_floor: float = 0.0,
 ) -> tuple[int, Optional[complex], float]:
-    """Add (term, magnitude) pairs from ``terms`` to ``acc`` until
+    """Append (term, magnitude) pairs from ``terms`` to ``kept`` until
     ``policy`` stops; returns (added, least, last magnitude computed).
 
+    ``kept`` belongs to the caller, who takes the series value from it
+    with ``_complex_fsum``.  The stop tests read a plain binary64
+    running sum instead, started from what ``kept`` already holds.
     Each term is held back until the next one is computed.  If the next
     is no smaller, the held term is the least term (first local minimum,
     ties toward the smaller index): it is left out and returned as
     ``least``, and a series that includes its least term adds it back.
     The held term is also left out once it is <= eps (ErrorTarget),
-    below rel_floor * |acc|, or when the policy's cap (at most ``cap``)
-    terms are in.  Fixed has no least-term or floor stop.  ``lead`` is
-    held from the start untested: a leading term that is always kept.
+    below rel_floor * |running sum|, or when the policy's cap (at most
+    ``cap``) terms are in.  Fixed has no least-term or floor stop.
+    ``lead`` is held from the start untested: a leading term that is
+    always kept.
     """
     eps = -1.0
     least_rule = True
@@ -236,18 +252,30 @@ def _truncate(
     elif isinstance(policy, ErrorTarget):
         cap, eps = min(policy.cap, cap), policy.eps
     added = 0
+    running = sum(kept)
     held = lead
     held_mag = 0.0 if lead is None else abs(lead)
     for term, mag in terms:
         if held is not None:
             if least_rule and mag >= held_mag:
                 return added, held, mag
-            acc.add(held)
+            kept.append(held)
+            running += held
             added += 1
         held, held_mag = term, mag
-        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(acc.value)):
+        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
             return added, None, mag
     raise AssertionError("series terms are an endless stream")
+
+
+def _complex_fsum(terms: list[complex]) -> complex:
+    """The correctly rounded sum of ``terms``: math.fsum over the real
+    and the imaginary parts apart.  A part whose sum overflows binary64,
+    or that holds infinities of both signs, raises PrecisionError."""
+    try:
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    except (OverflowError, ValueError):
+        raise PrecisionError("a series sum is not finite in binary64") from None
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +338,8 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
     err_estimate is the least term itself; under the other policies it
     is the first omitted term.  The scan also stops once terms drop
     below 1e-18 of the accumulated value: past that point further
-    terms cannot change the result at binary64.
+    terms cannot change the result at binary64.  Raises PrecisionError
+    when a term or the sum overflows binary64 (large w or |a|).
     """
     a, w = spec.a, spec.w
     if w <= 0.0:
@@ -320,14 +349,19 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
             f"w = {w} is an even integer; use the even-exponent transformation"
         )
     log = TermLog()
-    acc = ComplexSum(singular_term(spec))
     # the k = m term of an odd w lives in the singular term
     m_skip, _ = _singular_const(w)
-    included, least, last = _truncate(
-        _k_terms(a, w, log, m_skip), policy, _K_CAP, acc, rel_floor=_REL_FLOOR
-    )
+    try:
+        kept = [singular_term(spec)]
+        included, least, last = _truncate(
+            _k_terms(a, w, log, m_skip), policy, _K_CAP, kept, rel_floor=_REL_FLOOR
+        )
+    except OverflowError:
+        raise PrecisionError(
+            f"the generic expansion at a = {a}, w = {w} overflows binary64"
+        ) from None
     return Evaluation(
-        value=acc.value,
+        value=_complex_fsum(kept),
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
         err_estimate=last if least is None else abs(least),
@@ -395,12 +429,12 @@ def tail_factor(
                 log.log(series, j, mag)
             yield t, mag
 
-    acc = ComplexSum()
-    included, least, first_omitted = _truncate(terms(), policy, _J_CAP, acc, lead=1.0 + 0j)
+    kept: list[complex] = []
+    included, least, first_omitted = _truncate(terms(), policy, _J_CAP, kept, lead=1.0 + 0j)
     if least is not None:
-        acc.add(least)
+        kept.append(least)
         included += 1
-    return acc.value, included, first_omitted
+    return _complex_fsum(kept), included, first_omitted
 
 
 def eval_even(
@@ -427,17 +461,36 @@ def eval_even(
     j-series, and at n = 1 the reported j count is 0.  err_estimate
     combines the first omitted tail-factor term at n = 1 with the first
     omitted dual term.
+
+    Raises PrecisionError when an intermediate overflows binary64
+    (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
+    refused before any term is made.
     """
     a, w = spec.a, spec.w
     _require_positive_int(m, "m")
     if _even_m(w) != m:
         raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
-    log = TermLog()
-    acc = ComplexSum()
+    if 2 * m >= sys.float_info.max_exp:
+        # refused before the m + 1 k-terms are made, which could take
+        # unbounded time: 2^(2m) is past binary64, and the first omitted
+        # dual term divides by at least that much
+        raise PrecisionError(f"w = {w}: the even transformation divides by 2^{2 * m}, past binary64")
+    try:
+        return _even_transform(a, m, policy, n_max)
+    except OverflowError:
+        raise PrecisionError(
+            f"the even transformation at a = {a}, w = {w} overflows binary64"
+        ) from None
 
-    acc.add(0.5 * _gamma_half_minus(m) * a ** (m - 0.5))
-    for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log, None), m + 1):
-        acc.add(term)
+
+def _even_transform(
+    a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int]
+) -> Evaluation:
+    log = TermLog()
+    # the algebraic part, the k-terms and the dual terms, in one sum
+    parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
+    parts += [term for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log, None), m + 1)]
+    running = sum(parts)
 
     pref = (a / math.pi) ** (2 * m - 0.5)
     if m & 1:
@@ -453,7 +506,7 @@ def eval_even(
         expo = -_PI2 * n * n * re_inv
         raw = (math.exp(expo) if expo > -745.0 else 0.0) / n ** (2 * m)
         # auto rule: this n is the last one worth including
-        last = auto and raw < _REL_FLOOR * abs(acc.value)
+        last = auto and raw < _REL_FLOOR * abs(running)
         weight = cmath.exp(-_PI2 * n * n / a)
         if weight:
             ups, j_used, fo = tail_factor(a, m, n, policy, log=log, series=f"j[n={n}]")
@@ -462,7 +515,8 @@ def eval_even(
             # an underflowed weight zeroes the term whatever the factor
             term, j_used, fo = 0j, 0, 0.0
         log.log("n", n, abs(term))
-        acc.add(term)
+        parts.append(term)
+        running += term
         n_used = n
         if n == 1:
             fo_j_n1, j_used_n1 = fo, j_used
@@ -476,7 +530,7 @@ def eval_even(
     expon = -_PI2 * nn * nn * re_inv
     fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
     return Evaluation(
-        value=acc.value,
+        value=_complex_fsum(parts),
         method=MethodChoice.EVEN_TRANSFORM,
         terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
         err_estimate=fo_tail_j + fo_tail_n,

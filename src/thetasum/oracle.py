@@ -62,14 +62,21 @@ def _tail_bound(re_a: float, w: float, n: int) -> float:
     |t_{k+1}/t_k| <= exp(-re_a (2n+3)) (the ratio exp(-re_a (2k+1))
     with k >= n+1, and (k/(k+1))^w <= 1 for w >= 0), so the tail is
     dominated by the geometric series
-    |t_{n+1}| / (1 - exp(-re_a (2n+3))).
+    |t_{n+1}| / (1 - exp(-re_a (2n+3))).  Where n^w overflows, this
+    bound is far below any eps, so the cutoff stops before a term whose
+    n^w would overflow: the summing loop never meets one.
     """
     expo = -re_a * (n + 1.0) ** 2
     mag = math.exp(expo) if expo > -745.0 else 0.0
     if mag == 0.0:
         return 0.0
     denom = -math.expm1(-re_a * (2.0 * n + 3.0))
-    return mag / ((n + 1.0) ** w * denom)
+    try:
+        return mag / ((n + 1.0) ** w * denom)
+    except OverflowError:
+        # (n+1)^w is past binary64 (w above about 1024 / log2(n+1)):
+        # divide in logs instead
+        return math.exp(expo - w * math.log(n + 1.0)) / denom
 
 
 def _stop_index(re_a: float, w: float, eps: float) -> int:

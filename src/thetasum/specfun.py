@@ -202,10 +202,13 @@ def _zeta_alternating(s: float) -> float:
 def zeta_real(s: float) -> float:
     """Riemann zeta on the real line, s != 1.
 
-    Relative error <= 1e-12 for |s| <= 60.  For s >= 1/2 the
-    accelerated alternating series is used; for s < 1/2 the functional
-    equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
-    Negative even integers return exactly 0.
+    Relative error <= 1e-12 for |s| <= 60.  For s >= 1/2 and for
+    |s| < 1/64 the accelerated alternating series is used; for other
+    s < 1/2 the functional equation
+    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).  Near
+    s = 0 that equation would read zeta(1-s) after 1-s is rounded,
+    next to its pole, while the series has no pole there.  Negative
+    even integers return exactly 0.
     """
     s = _require_finite(s, "s")
     if abs(s - 1.0) < POLE_TOL:
@@ -214,7 +217,7 @@ def zeta_real(s: float) -> float:
         # limit of the functional equation; the alternating backend
         # yields the same value and cross-checks it in the test suite
         return -0.5
-    if s >= 0.5:
+    if s >= 0.5 or abs(s) < 1.0 / 64.0:
         return _zeta_alternating(s)
     if s < 0.0 and s == 2.0 * round(s / 2.0):
         return 0.0

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compensated import ComplexSum
 from .engine import (
+    _complex_fsum,
     classical_pj_rhs,
     eval_even,
     eval_generic,
@@ -153,13 +153,9 @@ def checks_specfun() -> list[CheckResult]:
 
 
 def _plain_partial(a: complex, w: float, n_terms: int) -> tuple[complex, float]:
-    acc = ComplexSum()
-    mag = 0.0
-    for n in range(1, n_terms + 1):
-        term = cmath.exp(-a * (n * n)) / math.pow(n, w)
-        acc.add(term)
-        mag += abs(term)
-    return acc.value, mag
+    # the first n_terms terms summed by the engine's rule, and sum |term|
+    terms = [cmath.exp(-a * (n * n)) / math.pow(n, w) for n in range(1, n_terms + 1)]
+    return _complex_fsum(terms), math.fsum(abs(t) for t in terms)
 
 
 def checks_oracle() -> list[CheckResult]:

@@ -1,11 +1,14 @@
 """CLI surface: reports, exit codes, CSV format, determinism."""
 
+import cmath
 import csv
+import time
 
 import pytest
 
 import thetasum.cli
 import thetasum.engine
+from thetasum import SumSpec, direct_sum
 from thetasum.cli import METHODS, main
 
 SWEEP_HEADER = (
@@ -108,6 +111,52 @@ def test_eval_even_with_underflowed_dual_weight_prints_no_j0(capsys):
     assert rc == 0
     assert "terms         j=0 k=3 n=1" in out
     assert "j0 j[n=1]" not in out
+
+
+def _report(out):
+    return dict(line.split(None, 1) for line in out.splitlines() if " " in line.strip())
+
+
+def test_eval_exponent_next_to_zero_matches_oracle(capsys):
+    rc, out, _ = run(capsys, "eval", "--a", "0.05", "--w", "1e-12")
+    assert rc == 0
+    assert float(_report(out)["abs_error"]) <= 1e-13
+
+
+GRID_A = ("1e-3", "0.05", "0.5", "5", "1000", "0.5+0.8j")
+GRID_W = ("1e-300", "1e-15", "646", "648", "800", "1024", "1025", "1100.5", "1e5", "1e10")
+# The generic route leaves out the dual terms, about exp(-pi^2 Re(1/a)),
+# and its err_estimate does not count them; at these a that miss is
+# the open router fault, so these answers are checked for finiteness only.
+GRID_DUAL_MISS = {(a, w) for a in ("0.5", "5", "1000", "0.5+0.8j") for w in ("1e-300", "1e-15")}
+
+
+def test_eval_grid_answers_or_refuses(capsys):
+    # exponents next to 0 and past binary64's n^w, at small, large and
+    # complex a: every call answers within its estimate or refuses
+    start = time.perf_counter()
+    answered = 0
+    for method in ("auto", "direct", "generic"):
+        for a in GRID_A:
+            for w in GRID_W:
+                case = (method, a, w)
+                rc, out, err = run(capsys, "eval", "--a", a, "--w", w, "--method", method)
+                assert rc in (0, 2, 3), (case, err)
+                if rc != 0:
+                    assert out == "" and err.startswith("error: "), case
+                    continue
+                answered += 1
+                report = _report(out)
+                value = complex(float(report["value_re"]), float(report["value_im"]))
+                assert cmath.isfinite(value), case
+                ref = direct_sum(SumSpec(complex(a), float(w)))
+                if method == "direct":
+                    assert value == ref.value, case
+                elif (a, w) not in GRID_DUAL_MISS:
+                    bound = float(report["err_estimate"]) + ref.noise_floor()
+                    assert abs(value - ref.value) <= bound, case
+    assert answered >= 90
+    assert time.perf_counter() - start < 10.0
 
 
 # ----------------------------------------------------------------------

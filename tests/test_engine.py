@@ -316,6 +316,69 @@ def test_even_keeps_dual_terms_whose_weight_is_nonzero(monkeypatch):
     assert ev.terms_used["j"] - 1 == W4_ROWS[0].j0
 
 
+@pytest.mark.parametrize("a,w", [(0.5, 648.0), (1000.0, 200.0), (0.5 + 0.8j, 648.0)])
+def test_even_overflow_is_a_precision_error(a, w):
+    with pytest.raises(PrecisionError, match="overflows binary64"):
+        eval_even(SumSpec(a, w), round(w / 2))
+
+
+@pytest.mark.parametrize("w", [1024.0, 1e5, 1e10])
+def test_even_refuses_w_whose_power_of_two_overflows(monkeypatch, w):
+    # refused before any term is made, so w = 1e10 cannot hang
+    def no_terms(*args):
+        raise AssertionError("a term was made")
+
+    monkeypatch.setattr(engine, "_gamma_half_minus", no_terms)
+    monkeypatch.setattr(engine, "_k_terms", no_terms)
+    with pytest.raises(PrecisionError, match="past binary64"):
+        eval_even(SumSpec(1e-3, w), round(w / 2))
+
+
+@pytest.mark.parametrize("w", [800.0, 1022.0])
+def test_even_below_the_power_of_two_limit_still_answers(w):
+    # m + 1 = 401 and 512 k-terms, more than the generic k-series cap
+    spec = SumSpec(1e-3, w)
+    ev = eval_even(spec, round(w / 2))
+    assert ev.terms_used["k"] == round(w / 2) + 1
+    assert abs(ev.value - direct_sum(spec).value) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [5.0, 1000.0, 3.0 + 4.0j])
+def test_generic_singular_overflow_is_a_precision_error(a):
+    # a^((w-1)/2) is past binary64
+    with pytest.raises(PrecisionError, match="overflows binary64"):
+        eval_generic(SumSpec(a, 1100.5))
+
+
+@pytest.mark.parametrize(
+    "a,w,count",
+    [
+        (24224.5 - 16702.4j, 20.8, 185),  # the terms' sum overflows
+        (64.5112 - 63.4253j, 41.9328, 252),  # a term's magnitude overflows
+    ],
+)
+def test_generic_k_terms_past_binary64_are_a_precision_error(a, w, count):
+    # |a|^k / k! grows past binary64 long before the Fixed policy's count
+    with pytest.raises(PrecisionError):
+        eval_generic(SumSpec(a, w), Fixed(count))
+
+
+@pytest.mark.parametrize("w", [343.0, 1025.0, 1e10 + 1.0])
+def test_generic_refuses_an_odd_w_whose_factorial_overflows(monkeypatch, w):
+    # refused before psi(m+1) is summed, so w = 1e10 + 1 cannot hang
+    def no_digamma(m):
+        raise AssertionError("psi(m+1) was computed")
+
+    monkeypatch.setattr(engine, "digamma_int", no_digamma)
+    with pytest.raises(PrecisionError, match="past binary64"):
+        eval_generic(SumSpec(0.5, w))
+
+
+def test_generic_odd_w_at_the_factorial_limit_still_answers():
+    spec = SumSpec(0.5, 341.0)
+    assert abs(eval_generic(spec).value - direct_sum(spec).value) <= 1e-15
+
+
 # ----------------------------------------------------------------------
 # tail factor
 # ----------------------------------------------------------------------
@@ -409,6 +472,35 @@ def test_reference_predictor_w4():
     for a in (0.25, 1.0):
         _, j_used, _ = tail_factor(a, 2, 1)
         assert abs((j_used - 1) - (math.pi**2 / a - 2.5)) <= 2
+
+
+# ----------------------------------------------------------------------
+# summation
+# ----------------------------------------------------------------------
+
+
+def test_fsum_keeps_each_component_through_cancellation():
+    # a plain left-to-right sum gives 0
+    assert engine._complex_fsum([1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j]) == 1.0 + 1.0j
+
+
+def test_truncate_start_value_survives_larger_terms():
+    # the start value is the part a plain sum loses when the larger
+    # term comes in; the third term is held back by Fixed(2)
+    big = 1e16 - 1e16j
+    kept = [1.0 - 1.0j]
+    terms = iter([(big, abs(big)), (-big, abs(big)), (5.0 + 5.0j, abs(5.0 + 5.0j))])
+    added, least, last = engine._truncate(terms, Fixed(2), 10, kept)
+    assert (added, least, last) == (2, None, abs(5.0 + 5.0j))
+    assert kept == [1.0 - 1.0j, big, -big]
+    assert engine._complex_fsum(kept) == 1.0 - 1.0j
+
+
+def test_fsum_refuses_a_sum_past_binary64():
+    with pytest.raises(PrecisionError):
+        engine._complex_fsum([1e308 + 0j, 1e308 + 0j])
+    with pytest.raises(PrecisionError):
+        engine._complex_fsum([complex(math.inf, 0.0), complex(-math.inf, 0.0)])
 
 
 # ----------------------------------------------------------------------

@@ -15,20 +15,10 @@ from thetasum import (
     classical_pj_rhs,
     direct_sum,
 )
-from thetasum.compensated import ComplexSum
 from thetasum.specfun import zeta_real
+from thetasum.verify import _plain_partial
 
 EPS_MACH = 2.220446049250313e-16
-
-
-def plain_partial(a, w, n_terms):
-    acc = ComplexSum()
-    mag = 0.0
-    for n in range(1, n_terms + 1):
-        term = cmath.exp(-a * (n * n)) / math.pow(n, w)
-        acc.add(term)
-        mag += abs(term)
-    return acc.value, mag
 
 
 def test_classical_case_matches_transformation():
@@ -81,7 +71,7 @@ def test_tail_bound_soundness_random_specs():
         w = rng.uniform(1e-6, 6.0)
         spec = SumSpec(a, w)
         res = direct_sum(spec, 1e-12)
-        doubled, doubled_mag = plain_partial(spec.a, w, 2 * res.n_terms)
+        doubled, doubled_mag = _plain_partial(spec.a, w, 2 * res.n_terms)
         moved = abs(doubled - res.value)
         allowance = res.tail_bound + res.rounding_bound + 2 * res.n_terms * EPS_MACH * doubled_mag
         assert moved <= allowance
@@ -162,7 +152,7 @@ def test_sum_over_several_blocks():
     a, w = 1e-7, 1.5
     res = direct_sum(SumSpec(a, w))
     assert res.n_terms > oracle._BLOCK
-    reference, _ = plain_partial(complex(a), w, res.n_terms)
+    reference, _ = _plain_partial(complex(a), w, res.n_terms)
     assert abs(res.value - reference) <= res.rounding_bound
 
 
@@ -195,19 +185,15 @@ def test_oracle_sound_against_mpmath():
             assert err <= res.tail_bound + res.rounding_bound, (a, w, err)
 
 
-def test_complex_sum_compensates_each_component():
-    acc = ComplexSum()
-    for z in (1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j):
-        acc.add(z)
-    assert acc.value == 1.0 + 1.0j  # a plain sum gives 0
-
-
-def test_complex_sum_start_value_under_a_larger_term():
-    # the start value is the part lost when the larger term comes in
-    acc = ComplexSum(1.0 - 1.0j)
-    acc.add(1e16 - 1e16j)
-    acc.add(-1e16 + 1e16j)
-    assert acc.value == 1.0 - 1.0j
+@pytest.mark.parametrize("w", [1024.5, 1100.5, 1e5, 1e10])
+def test_tail_bound_where_n_to_the_w_overflows(w):
+    # (n + 1)^w is past binary64; the bound is taken in logs
+    assert 0.0 <= oracle._tail_bound(0.05, w, 1) <= 1e-300
+    assert 0.0 <= oracle._tail_bound(1e-3, w, 40) <= 1e-300
+    a = 0.5 + 0.8j
+    res = direct_sum(SumSpec(a, w))
+    assert res.n_terms == 1
+    assert res.value == cmath.exp(-a)
 
 
 def test_result_bounds_nonnegative():

@@ -197,6 +197,22 @@ def test_zeta_near_pole_accuracy():
     assert abs(zeta_real(s) - (1.0 / d + EULER_GAMMA)) < 1e-6
 
 
+@pytest.mark.parametrize("s", [1e-300, -1e-300, 1e-15, -1e-15, 1e-9, -1e-9, 1e-6, -1e-6])
+def test_zeta_near_zero_follows_its_tangent(s):
+    # zeta(s) = -1/2 - (ln(2 pi) / 2) s + c s^2 + ..., c about -1.0
+    tangent = -0.5 - 0.5 * math.log(2.0 * math.pi) * s
+    assert rel(zeta_real(s), tangent) <= 1e-12 + 4.0 * s * s
+
+
+def test_zeta_near_zero_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(64)
+    with mpmath.workdps(30):
+        for _ in range(400):
+            s = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-300), math.log(1.0 / 64.0)))
+            assert rel(zeta_real(s), float(mpmath.zeta(s))) <= 1e-12, s
+
+
 # ----------------------------------------------------------------------
 # Bernoulli numbers
 # ----------------------------------------------------------------------
