@@ -19,29 +19,34 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   exp(-pi^2 n^2 / a), each dual term decorated by an asymptotic
   series tail_factor(a; m, n) with inverse-factorial coefficients.
 
-The k-sum and the tail-factor series diverge; ``_truncate`` cuts both.
-Every series collects its terms in a list and takes its value from
-``_complex_fsum``, math.fsum over the real and the imaginary parts
+The k-sum and the tail-factor series diverge.  Each runs as one plain
+loop over local variables (no generator, no per-term function call)
+and stops by the one test that ``_truncate`` decodes from the policy.  Every series collects its terms in a list and takes its value
+from ``_complex_fsum``, math.fsum over the real and the imaginary parts
 apart, so each value is the correctly rounded sum of its terms, as the
 oracle's is.  A plain binary64 running sum serves the stop tests only.
+Term magnitudes collect in a local list as well and reach the TermLog in
+one ``TermLog.extend`` per series; only the even route's dual terms are
+logged one by one, between the tail-factor series they decorate.
+
 Everything is pure and thread safe.  The coefficients that depend on w
-alone -- zeta(w - 2k) and the singular term's Gamma or digamma
-constant -- are memoised per exponent in fixed-size caches
-(functools.lru_cache, thread safe); a value does not depend on what the
-caches hold.  Each series stops at a fixed cap (_K_CAP, _J_CAP,
-_N_CAP); a caller caps a run further with a Fixed or ErrorTarget
-policy, or the dual sum with n_max.
+alone -- zeta(w - 2k), the singular term's Gamma or digamma constant and
+the even route's Gamma(1/2 - m) -- are memoised per exponent in
+fixed-size caches (functools.lru_cache, thread safe); a value does not
+depend on what the caches hold.  Each series stops at a fixed cap
+(_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with a Fixed or
+ErrorTarget policy, or the dual sum with n_max.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
+import operator
 import statistics
 import sys
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     DomainError,
@@ -98,7 +103,7 @@ _N_CAP = 50
 _FACTORIAL_MAX = 170
 
 # Entries held by the per-exponent memos: (w, k) pairs of zeta(w - 2k),
-# and exponents of the singular-term constant.
+# and exponents of the singular-term constant or of Gamma(1/2 - m).
 _ZETA_MEMO = 4096
 _SINGULAR_MEMO = 256
 
@@ -155,7 +160,12 @@ def _zeta_k(w: float, k: int) -> float:
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
 def _singular_const(w: float) -> tuple[Optional[int], float]:
     # (m, psi(m+1) / 2) for w = 2m+1 within tolerance, else
-    # (None, Gamma((1-w)/2) / 2); w > 0 and not even
+    # (None, Gamma((1-w)/2) / 2); w > 0.  An even w is refused here, so
+    # it is classified once per exponent, not once per call.
+    if _even_m(w) is not None:
+        raise EvenExponentError(
+            f"w = {w} is an even integer; use the even-exponent transformation"
+        )
     m = _odd_m(w)
     if m is not None:
         if m > _FACTORIAL_MAX:
@@ -193,19 +203,21 @@ def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
     root = cmath.sqrt(cmath.pi / a)
     abs_root = abs(root)
     re_inv = (1.0 / a).real
-    log = TermLog()
     dual: list[complex] = []
+    mags: list[float] = []
     head = 0.5 * root - 0.5
     running = head
     for n in range(1, (_N_CAP if n_max is None else n_max) + 1):
         term = root * cmath.exp(-_PI2 * n * n / a)
-        log.log("n", n, abs(term))
+        mags.append(abs(term))
         dual.append(term)
         running += term
         expo = -_PI2 * (n + 1) * (n + 1) * re_inv
         next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
         if term == 0 or (n_max is None and next_mag < 1e-17 * abs(running)):
             break
+    log = TermLog()
+    log.extend("n", range(1, n + 1), mags)
     return Evaluation(
         value=head + _complex_fsum(dual),
         method=MethodChoice.CLASSICAL_PJ,
@@ -221,51 +233,31 @@ def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
 
 
 def _truncate(
-    terms: Iterator[tuple[complex, float]],
-    policy: TruncationPolicy,
-    cap: int,
-    kept: list[complex],
-    *,
-    lead: Optional[complex] = None,
-    rel_floor: float = 0.0,
-) -> tuple[int, Optional[complex], float]:
-    """Append (term, magnitude) pairs from ``terms`` to ``kept`` until
-    ``policy`` stops; returns (added, least, last magnitude computed).
+    policy: TruncationPolicy, cap: int, rel_floor: float = 0.0
+) -> tuple[int, float, bool, float]:
+    """Decode ``policy`` for a series of at most ``cap`` terms into
+    (cap, eps, least_rule, rel_floor), the stop test every series loop
+    applies.
 
-    ``kept`` belongs to the caller, who takes the series value from it
-    with ``_complex_fsum``.  The stop tests read a plain binary64
-    running sum instead, started from what ``kept`` already holds.
-    Each term is held back until the next one is computed.  If the next
-    is no smaller, the held term is the least term (first local minimum,
-    ties toward the smaller index): it is left out and returned as
-    ``least``, and a series that includes its least term adds it back.
-    The held term is also left out once it is <= eps (ErrorTarget),
-    below rel_floor * |running sum|, or when the policy's cap (at most
-    ``cap``) terms are in.  Fixed has no least-term or floor stop.
-    ``lead`` is held from the start untested: a leading term that is
-    always kept.
+    Each loop holds a term back until the next one is computed.  If
+    ``least_rule`` is set and the next is no smaller, the held term is
+    the least term (first local minimum, ties toward the smaller index):
+    the k-sum leaves it out and the tail factor keeps it.  The held term
+    is also left out once it is <= eps (ErrorTarget), below
+    rel_floor * |running sum|, or when ``cap`` terms are in.  Fixed has
+    no least-term or floor stop; its count and ErrorTarget's cap lower
+    ``cap``.  The running sum is plain binary64 and serves the floor
+    test only; the kept terms are summed by ``_complex_fsum``.
     """
-    eps = -1.0
-    least_rule = True
     if isinstance(policy, Fixed):
-        cap, least_rule, rel_floor = min(policy.count, cap), False, 0.0
-    elif isinstance(policy, ErrorTarget):
-        cap, eps = min(policy.cap, cap), policy.eps
-    added = 0
-    running = sum(kept)
-    held = lead
-    held_mag = 0.0 if lead is None else abs(lead)
-    for term, mag in terms:
-        if held is not None:
-            if least_rule and mag >= held_mag:
-                return added, held, mag
-            kept.append(held)
-            running += held
-            added += 1
-        held, held_mag = term, mag
-        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
-            return added, None, mag
-    raise AssertionError("series terms are an endless stream")
+        return min(policy.count, cap), -1.0, False, 0.0
+    if isinstance(policy, ErrorTarget):
+        return min(policy.cap, cap), policy.eps, True, rel_floor
+    return cap, -1.0, True, rel_floor
+
+
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
 
 
 def _complex_fsum(terms: list[complex]) -> complex:
@@ -273,7 +265,7 @@ def _complex_fsum(terms: list[complex]) -> complex:
     and the imaginary parts apart.  A part whose sum overflows binary64,
     or that holds infinities of both signs, raises PrecisionError."""
     try:
-        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
     except (OverflowError, ValueError):
         raise PrecisionError("a series sum is not finite in binary64") from None
 
@@ -300,22 +292,32 @@ def singular_term(spec: SumSpec) -> complex:
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"singular_term requires w > 0, got {w}")
-    if _even_m(w) is not None:
-        raise EvenExponentError(
-            f"w = {w} is an even integer; use the even-exponent transformation"
-        )
     m, c = _singular_const(w)
     if m is not None:
         return ((-a) ** m / math.factorial(m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + c)
     return c * a ** ((w - 1.0) / 2.0)
 
 
-def _k_terms(
-    a: complex, w: float, log: TermLog, m_skip: Optional[int]
-) -> Iterator[tuple[complex, float]]:
-    # (-1)^k zeta(w - 2k) a^k / k! and its magnitude for k = 0, 1, ...,
-    # skipping k = m_skip; each term is logged as it is made
+def _k_sum(
+    a: complex,
+    w: float,
+    m_skip: Optional[int],
+    policy: TruncationPolicy,
+    kept: list[complex],
+    log: TermLog,
+) -> tuple[int, float]:
+    # Appends the kept terms of sum'_k (-1)^k zeta(w - 2k) a^k / k!,
+    # k = m_skip left out, to ``kept`` (which holds the singular term)
+    # and logs every computed term in one write.  Returns (terms added,
+    # magnitude of the first omitted term); when the least-term rule
+    # stops the sum, the least term is that first omitted term.
+    cap, eps, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
+    running = sum(kept)
+    mags: list[float] = []
     apow: complex = 1.0 + 0j  # a^k / k!
+    held: Optional[complex] = None
+    held_mag = 0.0
+    added = 0
     k = 0
     while True:
         if k != m_skip:
@@ -323,10 +325,24 @@ def _k_terms(
             if k & 1:
                 term = -term
             mag = abs(term)
-            log.log("k", k, mag)
-            yield term, mag
+            mags.append(mag)
+            if held is not None:
+                if least_rule and mag >= held_mag:
+                    mag = held_mag
+                    break
+                kept.append(held)
+                running += held
+                added += 1
+            held, held_mag = term, mag
+            if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
+                break
         k += 1
         apow *= a / k
+    if m_skip is None or m_skip > k:
+        log.extend("k", range(k + 1), mags)
+    else:
+        log.extend("k", [*range(m_skip), *range(m_skip + 1, k + 1)], mags)
+    return added, mag
 
 
 def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluation:
@@ -344,18 +360,12 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"eval_generic requires w > 0, got {w}")
-    if _even_m(w) is not None:
-        raise EvenExponentError(
-            f"w = {w} is an even integer; use the even-exponent transformation"
-        )
-    log = TermLog()
     # the k = m term of an odd w lives in the singular term
     m_skip, _ = _singular_const(w)
+    log = TermLog()
     try:
         kept = [singular_term(spec)]
-        included, least, last = _truncate(
-            _k_terms(a, w, log, m_skip), policy, _K_CAP, kept, rel_floor=_REL_FLOOR
-        )
+        included, first_omitted = _k_sum(a, w, m_skip, policy, kept, log)
     except OverflowError:
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
@@ -364,7 +374,7 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         value=_complex_fsum(kept),
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
-        err_estimate=last if least is None else abs(least),
+        err_estimate=first_omitted,
         term_log=log,
         near_odd_warning=_near_odd(w),
     )
@@ -375,6 +385,7 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
 # ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_SINGULAR_MEMO)
 def _gamma_half_minus(m: int) -> float:
     # Gamma(1/2 - m) by downward recurrence from Gamma(1/2) = sqrt(pi);
     # the factors 1/2 - r are exact in binary64.
@@ -414,27 +425,29 @@ def tail_factor(
         raise DomainError(f"tail_factor requires Re(a) > 0, got a = {a}")
     _require_positive_int(m, "m")
     _require_positive_int(n, "n")
+    cap, eps, least_rule, _ = _truncate(policy, _J_CAP)
+    x = -a / (_PI2 * n * n)
+    mh = m + 0.5
+    t: complex = 1.0 + 0j
+    kept = [t]
+    mags = [1.0]
+    mag = 1.0
+    j = 0
+    # t_j is kept unless it meets the stop test, which ends the series
+    # at t_0..t_(j-1); under the least-term rule t_(j-1) is then the
+    # least term, which this series includes
+    while True:
+        held_mag = mag
+        t = t * ((m + j) * (mh + j) / (j + 1.0)) * x
+        j += 1
+        mag = abs(t)
+        mags.append(mag)
+        if (least_rule and mag >= held_mag) or j == cap or mag <= eps:
+            break
+        kept.append(t)
     if log is not None:
-        log.log(series, 0, 1.0)
-
-    def terms() -> Iterator[tuple[complex, float]]:
-        x = -a / (_PI2 * n * n)
-        t: complex = 1.0 + 0j
-        j = 0
-        while True:
-            t = t * ((m + j) * (m + 0.5 + j) / (j + 1.0)) * x
-            j += 1
-            mag = abs(t)
-            if log is not None:
-                log.log(series, j, mag)
-            yield t, mag
-
-    kept: list[complex] = []
-    included, least, first_omitted = _truncate(terms(), policy, _J_CAP, kept, lead=1.0 + 0j)
-    if least is not None:
-        kept.append(least)
-        included += 1
-    return _complex_fsum(kept), included, first_omitted
+        log.extend(series, range(j + 1), mags)
+    return _complex_fsum(kept), j, mag
 
 
 def eval_even(
@@ -486,10 +499,24 @@ def eval_even(
 def _even_transform(
     a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int]
 ) -> Evaluation:
-    log = TermLog()
     # the algebraic part, the k-terms and the dual terms, in one sum
     parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
-    parts += [term for term, _ in itertools.islice(_k_terms(a, 2.0 * m, log, None), m + 1)]
+    w = 2.0 * m
+    mags: list[float] = []
+    apow: complex = 1.0 + 0j  # a^k / k!
+    k = 0
+    while True:
+        term = _zeta_k(w, k) * apow
+        if k & 1:
+            term = -term
+        parts.append(term)
+        mags.append(abs(term))
+        if k == m:
+            break
+        k += 1
+        apow *= a / k
+    log = TermLog()
+    log.extend("k", range(m + 1), mags)
     running = sum(parts)
 
     pref = (a / math.pi) ** (2 * m - 0.5)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import DomainError
 
@@ -106,23 +108,40 @@ class MethodChoice(enum.Enum):
 class TermLog:
     """Ordered record of term magnitudes, one sequence per series name.
 
-    Indices must be strictly increasing within a series.  The log
-    records every term that was *computed*, including the first
-    omitted one, so least-term decisions can be audited from the log
-    alone.
+    Indices must be strictly increasing within a series and magnitudes
+    non-negative.  The log records every term that was *computed*,
+    including the first omitted one, so least-term decisions can be
+    audited from the log alone.  A series loop collects its magnitudes
+    locally and hands them over in one ``extend``.
     """
 
     entries: list[tuple[str, int, float]] = field(default_factory=list)
     _last: dict[str, int] = field(default_factory=dict, repr=False)
 
     def log(self, series: str, index: int, magnitude: float) -> None:
+        self.extend(series, (index,), (magnitude,))
+
+    def extend(self, series: str, indices: Sequence[int], magnitudes: Sequence[float]) -> None:
+        """Append one run of terms of ``series``, index i with magnitude
+        m for each pair of ``indices`` and ``magnitudes``, checked by
+        the same rules as one ``log`` call per term."""
+        if len(indices) != len(magnitudes):
+            raise ValueError("one magnitude per term index is required")
+        if not indices:
+            return
         prev = self._last.get(series)
-        if prev is not None and index <= prev:
+        if isinstance(indices, range):
+            rising = indices.step > 0
+        else:
+            rising = all(map(operator.lt, indices, itertools.islice(indices, 1, None)))
+        if not rising or (prev is not None and indices[0] <= prev):
             raise ValueError(f"term index not increasing for series {series!r}")
-        if magnitude < 0.0:
+        # min() is a NaN-free lower bound when it is >= 0 (a NaN first
+        # element makes it NaN); only otherwise is every term compared
+        if not min(magnitudes) >= 0.0 and any(map(operator.lt, magnitudes, itertools.repeat(0.0))):
             raise ValueError("term magnitude must be non-negative")
-        self._last[series] = index
-        self.entries.append((series, index, magnitude))
+        self._last[series] = indices[-1]
+        self.entries += zip(itertools.repeat(series), indices, magnitudes)
 
     def series(self, name: str) -> list[tuple[int, float]]:
         return [(i, m) for s, i, m in self.entries if s == name]
@@ -152,5 +171,5 @@ class Evaluation:
             raise DomainError("Evaluation value must be finite")
         if self.err_estimate < 0.0:
             raise DomainError("err_estimate must be non-negative")
-        if any(v < 0 for v in self.terms_used.values()):
+        if min(self.terms_used.values(), default=0) < 0:
             raise DomainError("terms_used counts must be non-negative")

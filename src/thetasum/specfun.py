@@ -19,7 +19,9 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, PoleError
 
@@ -187,15 +189,16 @@ def _alternating_zeta_weights(n: int) -> tuple[float, ...]:
 
 _ETA_N = 50
 _ETA_W = _alternating_zeta_weights(_ETA_N)
+# the signed weights (-1)^k _ETA_W[k] and the bases k + 1 of the eta
+# series, so the sum runs as C-level iteration
+_ETA_SW = tuple(-wk if k & 1 else wk for k, wk in enumerate(_ETA_W))
+_ETA_B = tuple(k + 1.0 for k in range(_ETA_N))
 
 
 def _zeta_alternating(s: float) -> float:
     # zeta(s) = eta(s) / (1 - 2^(1-s)); the denominator through expm1
     # keeps full relative accuracy near the pole at s = 1.
-    total = math.fsum(
-        (_ETA_W[k] if k % 2 == 0 else -_ETA_W[k]) * (k + 1.0) ** (-s)
-        for k in range(_ETA_N)
-    )
+    total = math.fsum(map(operator.mul, _ETA_SW, map(pow, _ETA_B, repeat(-s))))
     return total / -math.expm1((1.0 - s) * _LN2)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -329,7 +330,7 @@ def test_even_refuses_w_whose_power_of_two_overflows(monkeypatch, w):
         raise AssertionError("a term was made")
 
     monkeypatch.setattr(engine, "_gamma_half_minus", no_terms)
-    monkeypatch.setattr(engine, "_k_terms", no_terms)
+    monkeypatch.setattr(engine, "_zeta_k", no_terms)
     with pytest.raises(PrecisionError, match="past binary64"):
         eval_even(SumSpec(1e-3, w), round(w / 2))
 
@@ -484,15 +485,20 @@ def test_fsum_keeps_each_component_through_cancellation():
     assert engine._complex_fsum([1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j]) == 1.0 + 1.0j
 
 
-def test_truncate_start_value_survives_larger_terms():
+def test_truncate_start_value_survives_larger_terms(monkeypatch):
     # the start value is the part a plain sum loses when the larger
-    # term comes in; the third term is held back by Fixed(2)
+    # term comes in; the third term is held back by Fixed(2).  At a = 1
+    # the k-sum's terms are +c_0, -c_1 and c_2 / 2, so these
+    # coefficients give the terms big, -big and 5 + 5j.
     big = 1e16 - 1e16j
+    coefficients = [big, big, 10.0 + 10.0j]
+    monkeypatch.setattr(engine, "_zeta_k", lambda w, k: coefficients[k])
     kept = [1.0 - 1.0j]
-    terms = iter([(big, abs(big)), (-big, abs(big)), (5.0 + 5.0j, abs(5.0 + 5.0j))])
-    added, least, last = engine._truncate(terms, Fixed(2), 10, kept)
-    assert (added, least, last) == (2, None, abs(5.0 + 5.0j))
+    log = TermLog()
+    added, last = engine._k_sum(1.0 + 0j, 1.5, None, Fixed(2), kept, log)
+    assert (added, last) == (2, abs(5.0 + 5.0j))
     assert kept == [1.0 - 1.0j, big, -big]
+    assert log.series("k") == [(0, abs(big)), (1, abs(big)), (2, abs(5.0 + 5.0j))]
     assert engine._complex_fsum(kept) == 1.0 - 1.0j
 
 
@@ -501,6 +507,99 @@ def test_fsum_refuses_a_sum_past_binary64():
         engine._complex_fsum([1e308 + 0j, 1e308 + 0j])
     with pytest.raises(PrecisionError):
         engine._complex_fsum([complex(math.inf, 0.0), complex(-math.inf, 0.0)])
+
+
+# ----------------------------------------------------------------------
+# series loops against a generator-driven reference
+# ----------------------------------------------------------------------
+
+
+def _reference_truncate(terms, policy, cap, kept, lead=None, rel_floor=0.0):
+    # one (term, magnitude) pair per step from a generator into one
+    # truncation function: the form the engine's plain loops replaced,
+    # kept here as their reference
+    eps, least_rule = -1.0, True
+    if isinstance(policy, Fixed):
+        cap, least_rule, rel_floor = min(policy.count, cap), False, 0.0
+    elif isinstance(policy, ErrorTarget):
+        cap, eps = min(policy.cap, cap), policy.eps
+    added, running, held = 0, sum(kept), lead
+    held_mag = 0.0 if lead is None else abs(lead)
+    for term, mag in terms:
+        if held is not None:
+            if least_rule and mag >= held_mag:
+                return added, held, mag
+            kept.append(held)
+            running += held
+            added += 1
+        held, held_mag = term, mag
+        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
+            return added, None, mag
+
+
+def _reference_generic(spec, policy):
+    a, w = spec.a, spec.w
+    m_skip, _ = engine._singular_const(w)
+    log = TermLog()
+
+    def terms():
+        apow, k = 1.0 + 0j, 0
+        while True:
+            if k != m_skip:
+                term = zeta_real(w - 2.0 * k) * apow
+                if k & 1:
+                    term = -term
+                log.log("k", k, abs(term))
+                yield term, abs(term)
+            k += 1
+            apow *= a / k
+
+    kept = [singular_term(spec)]
+    added, least, last = _reference_truncate(terms(), policy, engine._K_CAP, kept, rel_floor=engine._REL_FLOOR)
+    return engine._complex_fsum(kept), {"k": added}, last if least is None else abs(least), log.entries
+
+
+def _reference_tail(a, m, n, policy):
+    log = TermLog()
+    log.log("j", 0, 1.0)
+
+    def terms():
+        x, t, j = -a / (engine._PI2 * n * n), 1.0 + 0j, 0
+        while True:
+            t = t * ((m + j) * (m + 0.5 + j) / (j + 1.0)) * x
+            j += 1
+            log.log("j", j, abs(t))
+            yield t, abs(t)
+
+    kept = []
+    added, least, first_omitted = _reference_truncate(terms(), policy, engine._J_CAP, kept, lead=1.0 + 0j)
+    if least is not None:
+        kept.append(least)
+        added += 1
+    return engine._complex_fsum(kept), added, first_omitted, log.entries
+
+
+LOOP_POLICIES = [OPTIMAL, Fixed(1), Fixed(3), Fixed(8), ErrorTarget(1e-8), ErrorTarget(1e-12, 5), ErrorTarget(1.0)]
+
+
+def test_series_loops_match_the_generator_reference_bit_for_bit():
+    # complex a; non-integer, odd and near-odd w
+    rng = random.Random(20261018)
+    for i in range(60):
+        modulus = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        a = cmath.rect(modulus, 0.0 if i % 3 == 0 else rng.uniform(-1.5, 1.5))
+        odd = 2 * rng.randrange(0, 4) + 1
+        w = rng.choice((rng.uniform(0.05, 7.95), float(odd), odd + rng.uniform(-0.05, 0.05)))
+        m, n = rng.randrange(1, 5), rng.randrange(1, 4)
+        for policy in LOOP_POLICIES:
+            if engine._even_m(w) is None:
+                ev = eval_generic(SumSpec(a, w), policy)
+                got = (ev.value, ev.terms_used, ev.err_estimate, ev.term_log.entries)
+                assert repr(got) == repr(_reference_generic(SumSpec(a, w), policy)), (a, w, policy)
+            log = TermLog()
+            value, j_used, first_omitted = tail_factor(a, m, n, policy, log=log)
+            got = (value, j_used, first_omitted, log.entries)
+            assert repr(got) == repr(_reference_tail(a, m, n, policy)), (a, m, n, policy)
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +711,7 @@ MEMO_POLICIES = (OPTIMAL, Fixed(3), ErrorTarget(1e-8))
 def _clear_memos():
     engine._zeta_k.cache_clear()
     engine._singular_const.cache_clear()
+    engine._gamma_half_minus.cache_clear()
 
 
 def _route(spec, policy=OPTIMAL):
@@ -666,7 +766,7 @@ def test_memo_misses_go_through_engine_names(monkeypatch):
     assert second.terms_used["k"] <= first.terms_used["k"]
     assert len(zetas) == len(first.term_log.series("k"))
     assert len(gammas) == 1
-    for memo in (engine._zeta_k, engine._singular_const):
+    for memo in (engine._zeta_k, engine._singular_const, engine._gamma_half_minus):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
@@ -707,6 +807,61 @@ def test_term_log_rules():
         log.log("k", 2, 0.1)
     assert log.series("k") == [(0, 1.0), (2, 0.5)]
     assert log.series("j") == [(0, 2.0)]
+
+
+def test_term_log_extend_refuses_a_first_index_not_past_the_last():
+    log = TermLog()
+    log.extend("k", range(3), [1.0, 0.5, 0.25])
+    for indices in (range(2, 4), [2, 3], range(0, 2)):
+        with pytest.raises(ValueError, match="not increasing"):
+            log.extend("k", indices, [0.1, 0.1])
+    with pytest.raises(ValueError, match="not increasing"):
+        log.extend("j", [0, 2, 2], [0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="not increasing"):
+        log.extend("j", range(3, 0, -1), [0.1, 0.1, 0.1])
+    # a refused write leaves the log as it was
+    assert log.entries == [("k", 0, 1.0), ("k", 1, 0.5), ("k", 2, 0.25)]
+    log.extend("k", [3, 5], [0.1, 0.2])
+    assert log.series("k")[-2:] == [(3, 0.1), (5, 0.2)]
+
+
+@pytest.mark.parametrize(
+    "mags", [[1.0, -0.5, 0.25], [-1e-300, 1.0, 1.0], [math.nan, -1.0, 1.0], [1.0, math.nan, -0.0 - 1e-300]]
+)
+def test_term_log_extend_refuses_a_negative_magnitude(mags):
+    log = TermLog()
+    with pytest.raises(ValueError, match="non-negative"):
+        log.extend("j", range(3), mags)
+    assert log.entries == []
+    # NaN, as a per-term log() takes it, is not refused
+    log.extend("j", range(2), [math.nan, 0.0])
+    assert len(log.entries) == 2
+
+
+def test_term_log_one_write_equals_per_term_logs():
+    per_term, one_write = TermLog(), TermLog()
+    runs = [
+        ("j[n=1]", range(0, 4), [1.0, 0.3, 0.2, 0.25]),
+        ("n", [1], [0.7]),
+        ("k", [0, 1, 3, 4], [2.0, 1.0, 0.5, 0.6]),
+        ("j[n=1]", range(4, 6), [0.4, math.inf]),
+    ]
+    for name, indices, mags in runs:
+        for i, mag in zip(indices, mags):
+            per_term.log(name, i, mag)
+        one_write.extend(name, indices, mags)
+    assert one_write.entries == per_term.entries
+    for name in ("j[n=1]", "n", "k"):
+        assert one_write.series(name) == per_term.series(name)
+    # and through a series loop
+    logged = TermLog()
+    value, j_used, first_omitted = tail_factor(0.3, 2, 1, OPTIMAL, log=logged, series="j")
+    mags = [m for _, m in logged.series("j")]
+    by_hand = TermLog()
+    for j, mag in enumerate(mags):
+        by_hand.log("j", j, mag)
+    assert logged.series("j") == by_hand.series("j")
+    assert mags[-1] == first_omitted and len(mags) == j_used + 1
 
 
 def test_policy_validation():

@@ -12,6 +12,9 @@ import pytest
 
 from thetasum import DomainError, PoleError
 from thetasum.specfun import (
+    _ETA_N,
+    _ETA_W,
+    _LN2,
     EULER_GAMMA,
     _log_gamma,
     _zeta_alternating,
@@ -160,6 +163,24 @@ def test_zeta_at_zero():
     assert zeta_real(0.0) == -0.5
     # the alternating-series backend reproduces the reflection limit
     assert abs(_zeta_alternating(0.0) + 0.5) < 1e-12
+
+
+def test_eta_kernel_matches_its_definition_bit_for_bit():
+    # the kernel sums precomputed signed weights over C-level iteration;
+    # the reference is the series as defined, term by term
+    rng = random.Random(1729)
+    grid = [rng.uniform(0.5, 61.0) for _ in range(300)]
+    # the reflected arguments 1 - s of the functional equation, and the
+    # small |s| the series takes directly
+    grid += [1.0 - rng.uniform(-60.0, -1.0 / 64.0) for _ in range(150)]
+    grid += [1.0 - rng.uniform(1.0 / 64.0, 0.5) for _ in range(50)]
+    grid += [rng.uniform(-1.0 / 64.0, 1.0 / 64.0) for _ in range(50)]
+    grid += [0.5, 1.0 - 1e-9, 2.0, 61.0]
+    for s in grid:
+        eta = math.fsum(
+            (_ETA_W[k] if k % 2 == 0 else -_ETA_W[k]) * (k + 1.0) ** (-s) for k in range(_ETA_N)
+        )
+        assert _zeta_alternating(s) == eta / -math.expm1((1.0 - s) * _LN2), s
 
 
 def test_zeta_pole():
