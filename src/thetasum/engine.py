@@ -21,10 +21,12 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
 
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
-and stops by the one test that ``_truncate`` decodes from the policy.  Every series collects its terms in a list and takes its value
-from ``_complex_fsum``, math.fsum over the real and the imaginary parts
+and stops by the one test that ``_truncate`` decodes from the policy.
+Every series collects its terms in a list and takes its value from
+``_complex_fsum``, math.fsum over the real and the imaginary parts
 apart, so each value is the correctly rounded sum of its terms, as the
-oracle's is.  A plain binary64 running sum serves the stop tests only.
+oracle's is; a sum that is not finite raises PrecisionError.  A plain
+binary64 running sum serves the stop tests only.
 Term magnitudes collect in a local list as well and reach the TermLog in
 one ``TermLog.extend`` per series; only the even route's dual terms are
 logged one by one, between the tail-factor series they decorate.
@@ -262,12 +264,17 @@ _IMAG = operator.attrgetter("imag")
 
 def _complex_fsum(terms: list[complex]) -> complex:
     """The correctly rounded sum of ``terms``: math.fsum over the real
-    and the imaginary parts apart.  A part whose sum overflows binary64,
-    or that holds infinities of both signs, raises PrecisionError."""
+    and the imaginary parts apart.  A sum that is not finite raises
+    PrecisionError: a part that overflows binary64 or holds infinities
+    of both signs, and an infinite or NaN term, which math.fsum passes
+    through."""
     try:
-        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+        total = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+        if cmath.isfinite(total):
+            return total
     except (OverflowError, ValueError):
-        raise PrecisionError("a series sum is not finite in binary64") from None
+        pass
+    raise PrecisionError("a series sum is not finite in binary64")
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import cmath
 import csv
+import dataclasses
 import time
 
 import pytest
 
 import thetasum.cli
 import thetasum.engine
+import thetasum.verify
 from thetasum import SumSpec, direct_sum
 from thetasum.cli import METHODS, main
 
@@ -347,12 +349,49 @@ def test_eval_and_sweep_report_the_same_j0(policy, tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
+def fail_lines(out):
+    return [line for line in out.splitlines() if line.startswith("[FAIL]")]
+
+
 @pytest.mark.parametrize("suite", ["specfun", "oracle", "engine", "appendix", "all"])
 def test_verify_suites_pass(capsys, suite):
     rc, out, _ = run(capsys, "verify", "--suite", suite)
+    assert not fail_lines(out), "\n".join(fail_lines(out))
     assert rc == 0
     assert "[PASS]" in out
-    assert "0 failed" in out
+    assert ", 0 failed\n" in out
+
+
+def _scaled(original, rel):
+    # original, its value scaled by 1 + rel(first argument)
+    def mutant(x, *args, **kw):
+        out = original(x, *args, **kw)
+        if isinstance(out, float):
+            return out * (1.0 + rel(x))
+        return dataclasses.replace(out, value=out.value * (1.0 + rel(x)))
+
+    return mutant
+
+
+# one fault per family of checks, planted in a name thetasum.verify calls:
+# name -> (relative fault of its value, suite, the one check that fails)
+VERIFY_MUTANTS = {
+    "eval_generic": (lambda spec: 1e-9, "engine", "generic oracle equivalence (18-point grid)"),
+    "eval_even": (lambda spec: 1e-8 if spec.a.imag else 0.0, "engine", "sector validity |arg a| <= 1.2"),
+    "zeta_real": (lambda s: 1e-12, "specfun", "zeta(2), zeta(4) closed forms"),
+    "direct_sum": (lambda spec: -1e-4 if spec.a.real < 1e-3 else 0.0, "oracle", "zeta limit w=6, a=1e-6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MUTANTS))
+def test_verify_names_the_check_a_fault_breaks(capsys, monkeypatch, name):
+    rel, suite, check = VERIFY_MUTANTS[name]
+    monkeypatch.setattr(thetasum.verify, name, _scaled(getattr(thetasum.verify, name), rel))
+    rc, out, _ = run(capsys, "verify", "--suite", "all")
+    assert rc == 1
+    fails = fail_lines(out)
+    assert len(fails) == 1 and fails[0].startswith(f"[FAIL] {suite:<8} | {check:<44} | "), fails
+    assert out.endswith(", 1 failed\n")
 
 
 def test_verify_appendix_reports_slope(capsys):

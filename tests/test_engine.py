@@ -1,4 +1,8 @@
-"""Expansion engine: frozen examples, oracle equivalence, policies."""
+"""Expansion engine: frozen examples, guards, policies and series loops.
+
+The oracle grids, the w = 4 rows and the remainder bound are checks of
+the ``verify`` engine and appendix suites (test_cli runs them).
+"""
 
 import cmath
 import math
@@ -31,7 +35,7 @@ from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
 from thetasum.reference import W4_ROWS
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
-from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic
+from thetasum.verify import _inv_factorial_coeff
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -48,12 +52,6 @@ def test_classical_at_self_dual_point():
     ref = direct_sum(SumSpec(math.pi, 0.0)).value
     assert abs(value - ref) <= 1e-15
     assert value.real == pytest.approx(0.043217405606654007, rel=1e-13)
-
-
-def test_classical_identity_grid():
-    for a in (0.5, 1.0, 2.0, math.pi):
-        diff = abs(classical_pj_rhs(a, 12) - direct_sum(SumSpec(a, 0.0)).value)
-        assert diff <= 1e-13
 
 
 def test_classical_large_a_dominant_term():
@@ -111,14 +109,6 @@ def test_singular_term_guards():
 # ----------------------------------------------------------------------
 # generic expansion
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("w", [0.5, 1.0, 1.5, 2.5, 3.0, 5.25])
-@pytest.mark.parametrize("a", [0.01, 0.05, 0.1])
-def test_generic_oracle_equivalence(w, a):
-    spec = SumSpec(a, w)
-    ev = eval_generic(spec, OPTIMAL)
-    assert abs(ev.value - direct_sum(spec).value) <= 1e-11
 
 
 def test_generic_even_exponent_guard():
@@ -186,40 +176,11 @@ def test_even_reference_value_six_decimals():
     assert f"{ev.value.real:.6f}" == "0.369026"
 
 
-@pytest.mark.parametrize(
-    "a,ref_err",
-    [(0.75, 4.656e-11), (1.0, 3.642e-8), (1.5, 2.856e-5), (2.0, 7.500e-4)],
-)
-def test_even_reachable_reference_errors(a, ref_err):
-    spec = SumSpec(a, 4.0)
-    ev = eval_even(spec, 2, OPTIMAL, n_max=1)
-    err = abs(ev.value - direct_sum(spec).value)
-    assert 0.5 <= err / ref_err <= 2.0
-
-
-@pytest.mark.parametrize("a", [0.10, 0.20, 0.25, 0.50])
-def test_even_unreachable_rows_at_oracle_resolution(a):
-    spec = SumSpec(a, 4.0)
-    ev = eval_even(spec, 2, OPTIMAL, n_max=1)
-    assert abs(ev.value - direct_sum(spec).value) <= 1e-13
-
-
 def test_even_m1_matches_oracle_and_literal():
     a = 0.5
     spec = SumSpec(a, 2.0)
     ev = eval_even(spec, 1, OPTIMAL)
     assert abs(ev.value - direct_sum(spec).value) <= 1e-12
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_even_error_estimate_honesty(m, a):
-    spec = SumSpec(a, 2.0 * m)
-    ev = eval_even(spec, m, OPTIMAL)
-    err = abs(ev.value - direct_sum(spec).value)
-    assert err <= 10.0 * ev.err_estimate
-    if a <= 1.0:
-        assert ev.err_estimate <= 1e-3 * abs(ev.value)
 
 
 def test_even_mismatch_guard():
@@ -237,31 +198,6 @@ def test_even_n_max_is_none_or_positive_int():
     for bad in ("auto", 0, 1.0):
         with pytest.raises(DomainError):
             eval_even(spec, 2, OPTIMAL, n_max=bad)
-
-
-def test_even_sector_validity():
-    for theta in (-1.2, -0.6, 0.0, 0.6, 1.2):
-        spec = SumSpec(0.5 * cmath.exp(1j * theta), 4.0)
-        ev = eval_even(spec, 2, OPTIMAL)
-        assert abs(ev.value - direct_sum(spec).value) <= 1e-9
-
-
-def test_even_monotone_degradation():
-    errs = []
-    for a in (0.75, 1.0, 1.5, 2.0):
-        spec = SumSpec(a, 4.0)
-        ev = eval_even(spec, 2, OPTIMAL, n_max=1)
-        errs.append(abs(ev.value - direct_sum(spec).value))
-    assert errs == sorted(errs)
-
-
-@pytest.mark.parametrize("a", [0.5, 1.0])
-@pytest.mark.parametrize("terms", [1, 3, 5])
-def test_even_specialization_fixtures(a, terms):
-    e1 = eval_even(SumSpec(a, 2.0), 1, Fixed(terms), n_max=5)
-    e2 = eval_even(SumSpec(a, 4.0), 2, Fixed(terms), n_max=5)
-    assert abs(e1.value - _literal_quadratic(a, terms, 5)) / abs(e1.value) <= 1e-13
-    assert abs(e2.value - _literal_quartic(a, terms, 5)) / abs(e2.value) <= 1e-13
 
 
 def test_even_error_target_policy():
@@ -321,6 +257,19 @@ def test_even_keeps_dual_terms_whose_weight_is_nonzero(monkeypatch):
 def test_even_overflow_is_a_precision_error(a, w):
     with pytest.raises(PrecisionError, match="overflows binary64"):
         eval_even(SumSpec(a, w), round(w / 2))
+
+
+def test_even_infinite_dual_term_is_a_precision_error():
+    # the n = 1 dual term is infinite though no operation raised
+    # OverflowError, and math.fsum passes an infinity through; every
+    # n_max refuses with PrecisionError, as n_max None does
+    spec = SumSpec(4.502849479481221 - 11.322465336219704j, 488.0)
+    with pytest.raises(PrecisionError):
+        eval_even(spec, 244, Fixed(8), n_max=1)
+    with pytest.raises(PrecisionError):
+        eval_even(spec, 244, Fixed(8), n_max=3)
+    with pytest.raises(PrecisionError):
+        evaluate(spec, MethodChoice.EVEN_TRANSFORM, Fixed(8), n_max=2)
 
 
 @pytest.mark.parametrize("w", [1024.0, 1e5, 1e10])
@@ -507,6 +456,9 @@ def test_fsum_refuses_a_sum_past_binary64():
         engine._complex_fsum([1e308 + 0j, 1e308 + 0j])
     with pytest.raises(PrecisionError):
         engine._complex_fsum([complex(math.inf, 0.0), complex(-math.inf, 0.0)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PrecisionError):
+            engine._complex_fsum([1.0 + 0j, complex(0.0, bad)])
 
 
 # ----------------------------------------------------------------------
@@ -673,17 +625,6 @@ def test_remainder_slope_tracks_first_omitted_term():
     assert slope == pytest.approx(2.0057, abs=0.02)
     slope = remainder_slope(3.0, 3, GRID)
     assert slope == pytest.approx(3.0050, abs=0.02)
-
-
-def test_remainder_slope_confirms_uniform_bound():
-    # any slope >= N - 1/2 is consistent with the O(a^(N-1/2)) bound
-    assert remainder_slope(1.3, 2, GRID) >= 1.5
-    assert remainder_slope(3.0, 3, GRID) >= 2.5
-
-
-def test_remainder_slope_noise_guard():
-    with pytest.raises(PrecisionError):
-        remainder_slope(1.3, 8, GRID)
 
 
 def test_remainder_slope_preconditions():

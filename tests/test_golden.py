@@ -1,4 +1,4 @@
-"""Golden outputs: `table1` and `eval` stdout, the `table1` and `sweep` CSVs, byte for byte.
+"""Golden outputs: `table1`, `eval` and `verify` stdout, the `table1` and `sweep` CSVs, byte for byte.
 
 The files under ``tests/golden/`` were written by the commands below.
 A refactor of the engine or the CLI must leave every byte in place;
@@ -18,6 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TABLE1 = "table1.txt"
 TABLE1_CSV = "table1.csv"
+
+# every verify check by name, with its measured value and its bound
+VERIFY = "verify_all.txt"
 
 # name -> sweep arguments; together they cover all four methods and
 # "auto" (at a non-integer and at an even w), all three policies and
@@ -68,6 +71,11 @@ def test_eval_stdout_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_verify_stdout_matches_golden(capsys):
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / VERIFY).read_text()
+
+
 def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -80,6 +88,7 @@ def _regenerate() -> None:
     (GOLDEN / TABLE1).write_text(_stdout(["table1", "--csv", str(GOLDEN / TABLE1_CSV)]))
     for name, args in EVALS.items():
         (GOLDEN / name).write_text(_stdout(["eval", *args]))
+    (GOLDEN / VERIFY).write_text(_stdout(["verify", "--suite", "all"]))
     for name, args in SWEEPS.items():
         assert main(["sweep", *args, "--out", str(GOLDEN / name)]) == 0
 
