@@ -1,7 +1,9 @@
 """Expansion engine: frozen examples, guards, policies and series loops.
 
-The oracle grids, the w = 4 rows and the remainder bound are checks of
-the ``verify`` engine and appendix suites (test_cli runs them).
+The w = 4 rows, the sector and degradation checks and the remainder
+bound are checks of the ``verify`` engine and appendix suites (test_cli
+runs them); the generic oracle grid, error-estimate honesty and the
+specialization fixtures are asserted both there and here.
 """
 
 import cmath
@@ -35,7 +37,7 @@ from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
 from thetasum.reference import W4_ROWS
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
-from thetasum.verify import _inv_factorial_coeff
+from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -111,6 +113,14 @@ def test_singular_term_guards():
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("w", [0.5, 1.0, 1.5, 2.5, 3.0, 5.25])
+@pytest.mark.parametrize("a", [0.01, 0.05, 0.1])
+def test_generic_oracle_equivalence(w, a):
+    spec = SumSpec(a, w)
+    ev = eval_generic(spec, OPTIMAL)
+    assert abs(ev.value - direct_sum(spec).value) <= 1e-11
+
+
 def test_generic_even_exponent_guard():
     with pytest.raises(EvenExponentError):
         eval_generic(SumSpec(0.1, 4.0))
@@ -183,6 +193,17 @@ def test_even_m1_matches_oracle_and_literal():
     assert abs(ev.value - direct_sum(spec).value) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_even_error_estimate_honesty(m, a):
+    spec = SumSpec(a, 2.0 * m)
+    ev = eval_even(spec, m, OPTIMAL)
+    err = abs(ev.value - direct_sum(spec).value)
+    assert err <= 10.0 * ev.err_estimate
+    if a <= 1.0:
+        assert ev.err_estimate <= 1e-3 * abs(ev.value)
+
+
 def test_even_mismatch_guard():
     with pytest.raises(MismatchError):
         eval_even(SumSpec(0.5, 4.0), 1)
@@ -198,6 +219,15 @@ def test_even_n_max_is_none_or_positive_int():
     for bad in ("auto", 0, 1.0):
         with pytest.raises(DomainError):
             eval_even(spec, 2, OPTIMAL, n_max=bad)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("terms", [1, 3, 5])
+def test_even_specialization_fixtures(a, terms):
+    e1 = eval_even(SumSpec(a, 2.0), 1, Fixed(terms), n_max=5)
+    e2 = eval_even(SumSpec(a, 4.0), 2, Fixed(terms), n_max=5)
+    assert abs(e1.value - _literal_quadratic(a, terms, 5)) / abs(e1.value) <= 1e-13
+    assert abs(e2.value - _literal_quartic(a, terms, 5)) / abs(e2.value) <= 1e-13
 
 
 def test_even_error_target_policy():
