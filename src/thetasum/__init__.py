@@ -3,20 +3,15 @@
 Four routes for Re(a) > 0 and real w >= 0: the direct-summation oracle
 with a rigorous tail bound (``direct_sum``), the generic small-a
 expansion (``eval_generic``), the even-exponent Poisson-Jacobi-type
-transformation (``eval_even``) and the classical identity at w = 0
-(``classical_pj_rhs``); ``evaluate`` dispatches on a ``MethodChoice``.
-The package exports the routes, the model types, the oracle and the
-errors; the kernels stay in ``thetasum.engine`` and
-``thetasum.specfun``, and the cross-checks in ``thetasum.verify``.
+transformation (``eval_even``) and the classical identity at w = 0;
+``evaluate`` dispatches on a ``MethodChoice`` and is the one entry to
+the classical identity.  The package exports the routes, the model
+types, the oracle and the errors; the kernels stay in
+``thetasum.engine`` and ``thetasum.specfun``, and the cross-checks,
+``remainder_slope`` among them, in ``thetasum.verify``.
 """
 
-from .engine import (
-    classical_pj_rhs,
-    eval_even,
-    eval_generic,
-    evaluate,
-    remainder_slope,
-)
+from .engine import eval_even, eval_generic, evaluate
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -60,8 +55,6 @@ __all__ = [
     "evaluate",
     "eval_generic",
     "eval_even",
-    "classical_pj_rhs",
-    "remainder_slope",
     # errors
     "ThetaSumError",
     "DomainError",

@@ -31,7 +31,7 @@ import sys
 import time
 from typing import Optional
 
-from .engine import _even_m, eval_even, evaluate
+from .engine import EVEN, classify_exponent, eval_even, evaluate
 from .errors import ConvergenceError, DomainError, ThetaSumError
 from .model import (
     OPTIMAL,
@@ -89,7 +89,7 @@ def _resolve_method(name: str, w: float) -> MethodChoice:
     if name == "auto":
         if w == 0.0:
             return MethodChoice.CLASSICAL_PJ
-        return MethodChoice.GENERIC if _even_m(w) is None else MethodChoice.EVEN_TRANSFORM
+        return MethodChoice.EVEN_TRANSFORM if classify_exponent(w)[0] == EVEN else MethodChoice.GENERIC
     try:
         return MethodChoice(name)
     except ValueError:

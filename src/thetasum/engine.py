@@ -2,8 +2,9 @@
 
 Routes besides the direct oracle, all valid in the sector Re(a) > 0:
 
-* classical_pj_rhs -- the classical Poisson-Jacobi identity for w = 0
-  (exact, not asymptotic): the Gaussian sum equals
+* evaluate(..., MethodChoice.CLASSICAL_PJ) -- the classical
+  Poisson-Jacobi identity for w = 0 (exact, not asymptotic): the
+  Gaussian sum equals
   (1/2) sqrt(pi/a) - 1/2 + sqrt(pi/a) sum_n exp(-pi^2 n^2 / a).
 
 * eval_generic -- the small-a expansion for w > 0 not an even integer:
@@ -18,6 +19,9 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   Poisson-Jacobi type: an algebraic part plus the dual sum in
   exp(-pi^2 n^2 / a), each dual term decorated by an asymptotic
   series tail_factor(a; m, n) with inverse-factorial coefficients.
+
+Which route fits an exponent is decided in one place,
+``classify_exponent``: w is even, odd, near odd, or none of these.
 
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
@@ -46,7 +50,6 @@ import cmath
 import functools
 import math
 import operator
-import statistics
 import sys
 from typing import Optional
 
@@ -71,13 +74,11 @@ from .oracle import direct_sum
 from .specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
 
 __all__ = [
-    "classical_pj_rhs",
     "singular_term",
     "eval_generic",
     "eval_even",
     "tail_factor",
     "evaluate",
-    "remainder_slope",
 ]
 
 _PI2 = math.pi * math.pi
@@ -115,28 +116,25 @@ _SINGULAR_MEMO = 256
 # ----------------------------------------------------------------------
 
 
-def _dist_to_odd(w: float) -> tuple[float, int]:
-    m = round((w - 1.0) / 2.0)
-    if m < 0:
-        m = 0
-    return abs(w - (2 * m + 1)), m
+#: The classes ``classify_exponent`` returns besides None.
+EVEN, ODD, NEAR_ODD = "even", "odd", "near-odd"
 
 
-def _odd_m(w: float) -> Optional[int]:
-    d, m = _dist_to_odd(w)
-    return m if d <= INTEGER_TOL else None
-
-
-def _even_m(w: float) -> Optional[int]:
-    m = round(w / 2.0)
-    if m >= 1 and abs(w - 2 * m) <= INTEGER_TOL:
-        return m
-    return None
-
-
-def _near_odd(w: float) -> bool:
-    d, _ = _dist_to_odd(w)
-    return INTEGER_TOL < d < NEAR_ODD_WINDOW
+def classify_exponent(w: float) -> tuple[Optional[str], int]:
+    """(kind, m) for an exponent w, with n = round(w) and d = |w - n|:
+    (EVEN, n/2) when n >= 2 is even and d <= INTEGER_TOL, (ODD, (n-1)/2)
+    when n is odd and d <= INTEGER_TOL, (NEAR_ODD, (n-1)/2) when n is
+    odd and INTEGER_TOL < d < NEAR_ODD_WINDOW, else (None, 0)."""
+    n = round(w)
+    d = abs(w - n)
+    if n & 1:
+        if d <= INTEGER_TOL:
+            return ODD, n >> 1
+        if d < NEAR_ODD_WINDOW:
+            return NEAR_ODD, n >> 1
+    elif n >= 2 and d <= INTEGER_TOL:
+        return EVEN, n >> 1
+    return None, 0
 
 
 def _require_positive_int(value: int, name: str) -> int:
@@ -164,12 +162,12 @@ def _singular_const(w: float) -> tuple[Optional[int], float]:
     # (m, psi(m+1) / 2) for w = 2m+1 within tolerance, else
     # (None, Gamma((1-w)/2) / 2); w > 0.  An even w is refused here, so
     # it is classified once per exponent, not once per call.
-    if _even_m(w) is not None:
+    kind, m = classify_exponent(w)
+    if kind == EVEN:
         raise EvenExponentError(
             f"w = {w} is an even integer; use the even-exponent transformation"
         )
-    m = _odd_m(w)
-    if m is not None:
+    if kind == ODD:
         if m > _FACTORIAL_MAX:
             # refused before digamma_int, whose exact sum takes O(m^2)
             raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
@@ -180,21 +178,6 @@ def _singular_const(w: float) -> tuple[Optional[int], float]:
 # ----------------------------------------------------------------------
 # classical transformation (w = 0)
 # ----------------------------------------------------------------------
-
-
-def classical_pj_rhs(a: complex, n_max: int) -> complex:
-    """Right-hand side of the classical Poisson-Jacobi identity.
-
-    (1/2) sqrt(pi/a) - 1/2 + sqrt(pi/a) sum_{n=1}^{n_max}
-    exp(-pi^2 n^2 / a), principal branch throughout.  The identity is
-    exact; callers choose n_max so the first omitted dual term is
-    negligible (it decays like exp(-pi^2 n^2 Re(1/a))).
-    """
-    a = complex(a)
-    if not a.real > 0.0:
-        raise DomainError(f"classical_pj_rhs requires Re(a) > 0, got a = {a}")
-    _require_positive_int(n_max, "n_max")
-    return _evaluate_classical(a, n_max).value
 
 
 def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
@@ -383,7 +366,7 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         terms_used={"k": included},
         err_estimate=first_omitted,
         term_log=log,
-        near_odd_warning=_near_odd(w),
+        near_odd_warning=classify_exponent(w)[0] == NEAR_ODD,
     )
 
 
@@ -409,7 +392,6 @@ def tail_factor(
     policy: TruncationPolicy = OPTIMAL,
     *,
     log: Optional[TermLog] = None,
-    series: str = "j",
 ) -> tuple[complex, int, float]:
     """Asymptotic factor decorating the n-th dual term for w = 2m.
 
@@ -425,7 +407,7 @@ def tail_factor(
     included terms (least-term index + 1 under OptimalFirstMin) and
     first_omitted is the magnitude of the first omitted term.  With a
     ``log``, every computed term, the first omitted one included, is
-    logged under the name ``series``.
+    logged under the name ``j[n=<n>]``.
     """
     a = complex(a)
     if not a.real > 0.0:
@@ -453,7 +435,7 @@ def tail_factor(
             break
         kept.append(t)
     if log is not None:
-        log.extend(series, range(j + 1), mags)
+        log.extend(f"j[n={n}]", range(j + 1), mags)
     return _complex_fsum(kept), j, mag
 
 
@@ -488,7 +470,7 @@ def eval_even(
     """
     a, w = spec.a, spec.w
     _require_positive_int(m, "m")
-    if _even_m(w) != m:
+    if classify_exponent(w) != (EVEN, m):
         raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
     if 2 * m >= sys.float_info.max_exp:
         # refused before the m + 1 k-terms are made, which could take
@@ -543,7 +525,7 @@ def _even_transform(
         last = auto and raw < _REL_FLOOR * abs(running)
         weight = cmath.exp(-_PI2 * n * n / a)
         if weight:
-            ups, j_used, fo = tail_factor(a, m, n, policy, log=log, series=f"j[n={n}]")
+            ups, j_used, fo = tail_factor(a, m, n, policy, log=log)
             term = pref * ups * weight / n ** (2 * m)
         else:
             # an underflowed weight zeroes the term whatever the factor
@@ -604,8 +586,8 @@ def evaluate(
     if method is MethodChoice.GENERIC:
         return eval_generic(spec, policy)
     if method is MethodChoice.EVEN_TRANSFORM:
-        m = _even_m(spec.w)
-        if m is None:
+        kind, m = classify_exponent(spec.w)
+        if kind != EVEN:
             raise MismatchError(
                 f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}"
             )
@@ -617,59 +599,3 @@ def evaluate(
             _require_positive_int(n_max, "n_max")
         return _evaluate_classical(spec.a, n_max)
     raise DomainError(f"unknown method {method!r}")
-
-
-# ----------------------------------------------------------------------
-# empirical remainder scaling
-# ----------------------------------------------------------------------
-
-
-def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
-    """Log-log slope of the generic-expansion remainder over a grid.
-
-    For each grid point the remainder R_N(a) = direct sum minus
-    [singular_term + primed k-sum over k < N] is measured against the
-    oracle; the least-squares slope of log |R_N| against log a is
-    returned.  As a -> 0 the remainder is dominated by the first
-    omitted term, so the measured slope sits near N (within 0.15 for
-    N <= 6 on grids inside [1e-3, 1e-1]); any slope >= N - 1/2
-    confirms the uniform remainder bound O(a^(N - 1/2)), which the
-    contour estimate guarantees but which is not tight for real a.
-
-    Raises PrecisionError when any measured remainder falls below 100x
-    the oracle noise floor: the regression would fit rounding noise.
-    """
-    w = float(w)
-    if w <= 0.0:
-        raise DomainError(f"remainder_slope requires w > 0, got {w}")
-    if _even_m(w) is not None:
-        raise EvenExponentError("remainder_slope requires w not an even integer")
-    _require_positive_int(N, "N")
-    if not N > 0.5 * w + 0.5:
-        raise DomainError(f"requires N > w/2 + 1/2 = {0.5 * w + 0.5}, got N = {N}")
-    grid = [float(x) for x in a_grid]
-    if len(grid) < 4:
-        raise DomainError("a_grid needs at least 4 points")
-    if any(not 0.0 < x <= 0.2 for x in grid):
-        raise DomainError("a_grid must lie in (0, 0.2]")
-    ratios = [grid[i + 1] / grid[i] for i in range(len(grid) - 1)]
-    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios) or abs(ratios[0] - 1.0) < 1e-9:
-        raise DomainError("a_grid must be geometrically spaced")
-
-    # the k = m term of an odd w lives in the singular term
-    below_n = Fixed(N - 1 if _odd_m(w) is not None else N)
-    xs: list[float] = []
-    ys: list[float] = []
-    for a in grid:
-        spec = SumSpec(a, w)
-        ref = direct_sum(spec, 1e-16)
-        remainder = abs(ref.value - eval_generic(spec, below_n).value)
-        floor = 1e2 * ref.noise_floor()
-        if remainder < floor:
-            raise PrecisionError(
-                f"remainder {remainder:.3e} at a = {a} is below the noise floor "
-                f"{floor:.3e}; the slope would be meaningless"
-            )
-        xs.append(math.log(a))
-        ys.append(math.log(remainder))
-    return statistics.linear_regression(xs, ys).slope

@@ -10,24 +10,28 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (
+    EVEN,
+    ODD,
     _complex_fsum,
-    classical_pj_rhs,
+    _require_positive_int,
+    classify_exponent,
     eval_even,
     eval_generic,
-    remainder_slope,
+    evaluate,
     tail_factor,
 )
-from .errors import PrecisionError
-from .model import OPTIMAL, Fixed, SumSpec, TermLog
+from .errors import DomainError, EvenExponentError, PrecisionError
+from .model import OPTIMAL, Fixed, MethodChoice, SumSpec, TermLog
 from .oracle import direct_sum
 from .reference import W4_ROWS
 from .specfun import digamma_int, gamma_real, zeta_real
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
+__all__ = ["CheckResult", "SUITE_NAMES", "remainder_slope", "run_suite"]
 
 _SEED = 987654321
 
@@ -280,7 +284,9 @@ def checks_engine() -> list[CheckResult]:
 
     worst = 0.0
     for a in (0.5, 1.0, 2.0, math.pi):
-        worst = max(worst, abs(classical_pj_rhs(a, 12) - direct_sum(SumSpec(a, 0.0)).value))
+        spec = SumSpec(a, 0.0)
+        pj = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=12).value
+        worst = max(worst, abs(pj - direct_sum(spec).value))
     out.append(_check("engine", "classical identity a in {0.5,1,2,pi}", worst, "abs <= 1e-13", worst <= 1e-13))
 
     worst = 0.0
@@ -302,8 +308,8 @@ def checks_engine() -> list[CheckResult]:
     ok = True
     for a, m in ((0.5, 1), (1.0, 2), (0.25, 2), (2.0, 3)):
         log = TermLog()
-        _, j_used, _ = tail_factor(a, m, 1, OPTIMAL, log=log, series="j")
-        mags = [mag for _, mag in log.series("j")]
+        _, j_used, _ = tail_factor(a, m, 1, OPTIMAL, log=log)
+        mags = [mag for _, mag in log.series("j[n=1]")]
         j0 = j_used - 1
         is_min = (j0 + 1 < len(mags) and mags[j0] <= mags[j0 + 1]) and (
             j0 == 0 or mags[j0] < mags[j0 - 1]
@@ -341,6 +347,58 @@ def checks_engine() -> list[CheckResult]:
 # ----------------------------------------------------------------------
 # appendix: empirical remainder scaling
 # ----------------------------------------------------------------------
+
+
+def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
+    """Log-log slope of the generic-expansion remainder over a grid.
+
+    For each grid point the remainder R_N(a) = direct sum minus
+    [singular_term + primed k-sum over k < N] is measured against the
+    oracle; the least-squares slope of log |R_N| against log a is
+    returned.  As a -> 0 the remainder is dominated by the first
+    omitted term, so the measured slope sits near N (within 0.15 for
+    N <= 6 on grids inside [1e-3, 1e-1]); any slope >= N - 1/2
+    confirms the uniform remainder bound O(a^(N - 1/2)), which the
+    contour estimate guarantees but which is not tight for real a.
+
+    Raises PrecisionError when any measured remainder falls below 100x
+    the oracle noise floor: the regression would fit rounding noise.
+    """
+    w = float(w)
+    if w <= 0.0:
+        raise DomainError(f"remainder_slope requires w > 0, got {w}")
+    kind, _ = classify_exponent(w)
+    if kind == EVEN:
+        raise EvenExponentError("remainder_slope requires w not an even integer")
+    _require_positive_int(N, "N")
+    if not N > 0.5 * w + 0.5:
+        raise DomainError(f"requires N > w/2 + 1/2 = {0.5 * w + 0.5}, got N = {N}")
+    grid = [float(x) for x in a_grid]
+    if len(grid) < 4:
+        raise DomainError("a_grid needs at least 4 points")
+    if any(not 0.0 < x <= 0.2 for x in grid):
+        raise DomainError("a_grid must lie in (0, 0.2]")
+    ratios = [grid[i + 1] / grid[i] for i in range(len(grid) - 1)]
+    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios) or abs(ratios[0] - 1.0) < 1e-9:
+        raise DomainError("a_grid must be geometrically spaced")
+
+    # the k = m term of an odd w lives in the singular term
+    below_n = Fixed(N - 1 if kind == ODD else N)
+    xs: list[float] = []
+    ys: list[float] = []
+    for a in grid:
+        spec = SumSpec(a, w)
+        ref = direct_sum(spec, 1e-16)
+        remainder = abs(ref.value - eval_generic(spec, below_n).value)
+        floor = 1e2 * ref.noise_floor()
+        if remainder < floor:
+            raise PrecisionError(
+                f"remainder {remainder:.3e} at a = {a} is below the noise floor "
+                f"{floor:.3e}; the slope would be meaningless"
+            )
+        xs.append(math.log(a))
+        ys.append(math.log(remainder))
+    return statistics.linear_regression(xs, ys).slope
 
 
 def checks_appendix() -> list[CheckResult]:

@@ -19,9 +19,9 @@ limits.
 
 import time
 
-from thetasum import SumSpec, direct_sum, remainder_slope
+from thetasum import SumSpec, direct_sum
 from thetasum.reference import W4_ROWS
-from thetasum.verify import run_suite
+from thetasum.verify import remainder_slope, run_suite
 
 
 def report(number: int, description: str, passed: bool) -> bool:

@@ -374,30 +374,35 @@ def _scaled(original, rel):
 
 
 # one fault per family of checks, planted in a name thetasum.verify calls:
-# name -> (relative fault of its value, suite, the one check that fails)
+# name -> (relative fault of its value, the (suite, check) pairs that
+# fail, in report order).  remainder_slope sums through verify's
+# eval_generic, so a generic fault fails two appendix checks as well.
 VERIFY_MUTANTS = {
-    "eval_generic": (lambda spec: 1e-9, "engine", "generic oracle equivalence (18-point grid)"),
-    "eval_even": (lambda spec: 1e-8 if spec.a.imag else 0.0, "engine", "sector validity |arg a| <= 1.2"),
-    "zeta_real": (lambda s: 1e-12, "specfun", "zeta(2), zeta(4) closed forms"),
-    "direct_sum": (lambda spec: -1e-4 if spec.a.real < 1e-3 else 0.0, "oracle", "zeta limit w=6, a=1e-6"),
+    "eval_generic": (
+        lambda spec: 1e-9,
+        [
+            ("engine", "generic oracle equivalence (18-point grid)"),
+            ("appendix", "remainder slope (w=3.0, N=3) ~ N"),
+            ("appendix", "noise-floor guard raises (w=1.3, N=8)"),
+        ],
+    ),
+    "eval_even": (lambda spec: 1e-8 if spec.a.imag else 0.0, [("engine", "sector validity |arg a| <= 1.2")]),
+    "zeta_real": (lambda s: 1e-12, [("specfun", "zeta(2), zeta(4) closed forms")]),
+    "direct_sum": (lambda spec: -1e-4 if spec.a.real < 1e-3 else 0.0, [("oracle", "zeta limit w=6, a=1e-6")]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_MUTANTS))
 def test_verify_names_the_check_a_fault_breaks(capsys, monkeypatch, name):
-    rel, suite, check = VERIFY_MUTANTS[name]
+    rel, checks = VERIFY_MUTANTS[name]
     monkeypatch.setattr(thetasum.verify, name, _scaled(getattr(thetasum.verify, name), rel))
     rc, out, _ = run(capsys, "verify", "--suite", "all")
     assert rc == 1
     fails = fail_lines(out)
-    assert len(fails) == 1 and fails[0].startswith(f"[FAIL] {suite:<8} | {check:<44} | "), fails
-    assert out.endswith(", 1 failed\n")
-
-
-def test_verify_appendix_reports_slope(capsys):
-    rc, out, _ = run(capsys, "verify", "--suite", "appendix")
-    assert rc == 0
-    assert "remainder slope" in out
+    assert len(fails) == len(checks), fails
+    for line, (suite, check) in zip(fails, checks):
+        assert line.startswith(f"[FAIL] {suite:<8} | {check:<44} | "), fails
+    assert out.endswith(f", {len(checks)} failed\n")
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Expansion engine: frozen examples, guards, policies and series loops.
 
-The w = 4 rows, the sector and degradation checks and the remainder
-bound are checks of the ``verify`` engine and appendix suites (test_cli
-runs them); the generic oracle grid, error-estimate honesty and the
-specialization fixtures are asserted both there and here.
+The w = 4 rows, the sector and degradation checks, the least-term
+local minimum and the remainder bound are checks of the ``verify``
+engine and appendix suites (test_cli runs them); the generic oracle
+grid, error-estimate honesty and the specialization fixtures are
+asserted both there and here.
 """
 
 import cmath
 import math
+import os
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -26,18 +30,16 @@ from thetasum import (
     PrecisionError,
     SumSpec,
     TermLog,
-    classical_pj_rhs,
     direct_sum,
     eval_even,
     eval_generic,
     evaluate,
-    remainder_slope,
 )
 from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
 from thetasum.reference import W4_ROWS
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
-from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic
+from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic, remainder_slope
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -47,10 +49,14 @@ GRID = [0.0125, 0.025, 0.05, 0.1]
 # ----------------------------------------------------------------------
 
 
+def _classical(a, n_max):
+    return evaluate(SumSpec(a, 0.0), MethodChoice.CLASSICAL_PJ, n_max=n_max).value
+
+
 def test_classical_at_self_dual_point():
     # a = pi is the fixed point of a <-> pi^2/a; value frozen from the
     # direct-summation oracle
-    value = classical_pj_rhs(math.pi, 10)
+    value = _classical(math.pi, 10)
     ref = direct_sum(SumSpec(math.pi, 0.0)).value
     assert abs(value - ref) <= 1e-15
     assert value.real == pytest.approx(0.043217405606654007, rel=1e-13)
@@ -59,17 +65,17 @@ def test_classical_at_self_dual_point():
 def test_classical_large_a_dominant_term():
     # identity holds to rounding of the O(1) intermediates; the value
     # itself equals the n = 1 direct term exp(-50) up to that noise
-    value = classical_pj_rhs(50.0, 25)
+    value = _classical(50.0, 25)
     assert abs(value - direct_sum(SumSpec(50.0, 0.0)).value) <= 1e-15
 
 
 def test_classical_domain():
     with pytest.raises(DomainError):
-        classical_pj_rhs(-1.0, 5)
+        _classical(-1.0, 5)
     with pytest.raises(DomainError):
-        classical_pj_rhs(complex(0.0, 1.0), 5)
+        _classical(complex(0.0, 1.0), 5)
     with pytest.raises(DomainError):
-        classical_pj_rhs(1.0, 0)
+        _classical(1.0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +122,7 @@ def test_singular_term_guards():
 @pytest.mark.parametrize("w", [0.5, 1.0, 1.5, 2.5, 3.0, 5.25])
 @pytest.mark.parametrize("a", [0.01, 0.05, 0.1])
 def test_generic_oracle_equivalence(w, a):
+    """Kept beside verify's check: each id names its point, verify only the worst."""
     spec = SumSpec(a, w)
     ev = eval_generic(spec, OPTIMAL)
     assert abs(ev.value - direct_sum(spec).value) <= 1e-11
@@ -196,6 +203,7 @@ def test_even_m1_matches_oracle_and_literal():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_even_error_estimate_honesty(m, a):
+    """Kept beside verify's check: each id names its point, verify only the worst."""
     spec = SumSpec(a, 2.0 * m)
     ev = eval_even(spec, m, OPTIMAL)
     err = abs(ev.value - direct_sum(spec).value)
@@ -224,6 +232,7 @@ def test_even_n_max_is_none_or_positive_int():
 @pytest.mark.parametrize("a", [0.5, 1.0])
 @pytest.mark.parametrize("terms", [1, 3, 5])
 def test_even_specialization_fixtures(a, terms):
+    """Kept beside verify's check: each id names its point, verify only the worst."""
     e1 = eval_even(SumSpec(a, 2.0), 1, Fixed(terms), n_max=5)
     e2 = eval_even(SumSpec(a, 4.0), 2, Fixed(terms), n_max=5)
     assert abs(e1.value - _literal_quadratic(a, terms, 5)) / abs(e1.value) <= 1e-13
@@ -378,16 +387,6 @@ def test_tail_factor_least_term_windows():
     assert 15 <= j_used - 1 <= 19
 
 
-def test_tail_factor_least_term_is_local_min():
-    log = TermLog()
-    _, j_used, first_omitted = tail_factor(1.0, 2, 1, OPTIMAL, log=log, series="j")
-    mags = [m for _, m in log.series("j")]
-    j0 = j_used - 1
-    assert mags[j0] <= mags[j0 + 1]
-    assert j0 == 0 or mags[j0] < mags[j0 - 1]
-    assert first_omitted == mags[j0 + 1]
-
-
 POLICIES = [OPTIMAL, Fixed(1), Fixed(4), ErrorTarget(1e-3), ErrorTarget(1e-30, 3), ErrorTarget(1.0), ErrorTarget(2.0)]
 
 
@@ -395,8 +394,8 @@ POLICIES = [OPTIMAL, Fixed(1), Fixed(4), ErrorTarget(1e-3), ErrorTarget(1e-30, 3
 @pytest.mark.parametrize("a,m", [(0.25, 1), (0.5, 2), (1.0, 2), (5.0, 3)])
 def test_tail_factor_keeps_leading_term(policy, a, m):
     log = TermLog()
-    value, j_used, first_omitted = tail_factor(a, m, 1, policy, log=log, series="j")
-    logged = log.series("j")
+    value, j_used, first_omitted = tail_factor(a, m, 1, policy, log=log)
+    logged = log.series("j[n=1]")
     assert j_used >= 1
     assert logged[0] == (0, 1.0)
     # the value is the partial sum of the first j_used terms, and the
@@ -409,8 +408,8 @@ def test_tail_factor_keeps_leading_term(policy, a, m):
 
 def test_tail_factor_error_target_stops_at_eps():
     log = TermLog()
-    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3), log=log, series="j")
-    assert first_omitted <= 1e-3 < log.series("j")[j_used - 1][1]
+    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3), log=log)
+    assert first_omitted <= 1e-3 < log.series("j[n=1]")[j_used - 1][1]
     assert j_used < tail_factor(0.5, 2, 1, OPTIMAL)[1]
 
 
@@ -543,14 +542,15 @@ def _reference_generic(spec, policy):
 
 def _reference_tail(a, m, n, policy):
     log = TermLog()
-    log.log("j", 0, 1.0)
+    name = f"j[n={n}]"
+    log.log(name, 0, 1.0)
 
     def terms():
         x, t, j = -a / (engine._PI2 * n * n), 1.0 + 0j, 0
         while True:
             t = t * ((m + j) * (m + 0.5 + j) / (j + 1.0)) * x
             j += 1
-            log.log("j", j, abs(t))
+            log.log(name, j, abs(t))
             yield t, abs(t)
 
     kept = []
@@ -574,7 +574,7 @@ def test_series_loops_match_the_generator_reference_bit_for_bit():
         w = rng.choice((rng.uniform(0.05, 7.95), float(odd), odd + rng.uniform(-0.05, 0.05)))
         m, n = rng.randrange(1, 5), rng.randrange(1, 4)
         for policy in LOOP_POLICIES:
-            if engine._even_m(w) is None:
+            if engine.classify_exponent(w)[0] != engine.EVEN:
                 ev = eval_generic(SumSpec(a, w), policy)
                 got = (ev.value, ev.terms_used, ev.err_estimate, ev.term_log.entries)
                 assert repr(got) == repr(_reference_generic(SumSpec(a, w), policy)), (a, w, policy)
@@ -628,7 +628,9 @@ def test_dispatch_classical_honours_n_max():
     spec = SumSpec(0.7, 0.0)
     ev = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3)
     assert ev.terms_used == {"n": 3}
-    assert ev.value == classical_pj_rhs(0.7, 3)
+    root = math.sqrt(math.pi / 0.7)
+    literal = 0.5 * root - 0.5 + root * math.fsum(math.exp(-math.pi**2 * n * n / 0.7) for n in (1, 2, 3))
+    assert ev.value == pytest.approx(literal, rel=1e-15, abs=0.0)
     assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=None).terms_used == {"n": 1}
     for bad in (0, 1.0, "auto"):
         with pytest.raises(DomainError):
@@ -826,12 +828,12 @@ def test_term_log_one_write_equals_per_term_logs():
         assert one_write.series(name) == per_term.series(name)
     # and through a series loop
     logged = TermLog()
-    value, j_used, first_omitted = tail_factor(0.3, 2, 1, OPTIMAL, log=logged, series="j")
-    mags = [m for _, m in logged.series("j")]
+    value, j_used, first_omitted = tail_factor(0.3, 2, 1, OPTIMAL, log=logged)
+    mags = [m for _, m in logged.series("j[n=1]")]
     by_hand = TermLog()
     for j, mag in enumerate(mags):
-        by_hand.log("j", j, mag)
-    assert logged.series("j") == by_hand.series("j")
+        by_hand.log("j[n=1]", j, mag)
+    assert logged.series("j[n=1]") == by_hand.series("j[n=1]")
     assert mags[-1] == first_omitted and len(mags) == j_used + 1
 
 
@@ -879,8 +881,6 @@ def test_public_surface():
         "evaluate",
         "eval_generic",
         "eval_even",
-        "classical_pj_rhs",
-        "remainder_slope",
         "ThetaSumError",
         "DomainError",
         "PoleError",
@@ -899,5 +899,21 @@ def test_public_surface():
         "RangeError",
         "zeta_real",
         "tail_factor",
+        "classical_pj_rhs",
+        "remainder_slope",
     )
     assert not any(hasattr(thetasum, name) for name in removed)
+
+
+def test_import_leaves_the_checks_dependencies_out():
+    # statistics serves verify's remainder_slope only, not a route
+    probe = "import sys, thetasum; print('statistics' in sys.modules)"
+    src = Path(engine.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"

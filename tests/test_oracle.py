@@ -15,16 +15,18 @@ from thetasum import oracle
 from thetasum import (
     ConvergenceError,
     DomainError,
+    MethodChoice,
     SumSpec,
-    classical_pj_rhs,
     direct_sum,
+    evaluate,
 )
 from thetasum.verify import _plain_partial, _tail_bound_soundness
 
 
 def test_classical_case_matches_transformation():
     res = direct_sum(SumSpec(1.0, 0.0), 1e-16)
-    assert abs(res.value - classical_pj_rhs(1.0, 12)) <= 1e-14
+    pj = evaluate(SumSpec(1.0, 0.0), MethodChoice.CLASSICAL_PJ, n_max=12)
+    assert abs(res.value - pj.value) <= 1e-14
 
 
 def test_reference_anchor_w4():

@@ -10,7 +10,7 @@ log-log slope is N, not the N - 1/2 of the uniform bound.
 
 import pytest
 
-from thetasum import remainder_slope
+from thetasum.verify import remainder_slope
 
 mpmath = pytest.importorskip("mpmath")
 
