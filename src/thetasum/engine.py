@@ -36,12 +36,15 @@ one ``TermLog.extend`` per series; only the even route's dual terms are
 logged one by one, between the tail-factor series they decorate.
 
 Everything is pure and thread safe.  The coefficients that depend on w
-alone -- zeta(w - 2k), the singular term's Gamma or digamma constant and
-the even route's Gamma(1/2 - m) -- are memoised per exponent in
-fixed-size caches (functools.lru_cache, thread safe); a value does not
-depend on what the caches hold.  Each series stops at a fixed cap
-(_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with a Fixed or
-ErrorTarget policy, or the dual sum with n_max.
+alone are memoised per exponent, in fixed-size caches of
+_SINGULAR_MEMO exponents each (functools.lru_cache, thread safe): the
+singular term's Gamma or digamma constant, the even route's
+Gamma(1/2 - m), and the k-sum's row (-1)^k zeta(w - 2k), which grows on
+demand and is fetched once per call (``_ZetaRow``: zeta_real while
+w - 2k >= 0, the functional equation as a recurrence in k past that).
+A value does not depend on what the caches hold.  Each series stops at
+a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
+a Fixed or ErrorTarget policy, or the dual sum with n_max.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import functools
 import math
 import operator
 import sys
+import threading
 from typing import Optional
 
 from .errors import (
@@ -71,7 +75,7 @@ from .model import (
     TruncationPolicy,
 )
 from .oracle import direct_sum
-from .specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
+from .specfun import EULER_GAMMA, _sin_half_pi, _zeta_gt1, digamma_int, gamma_real, zeta_real
 
 __all__ = [
     "singular_term",
@@ -102,12 +106,15 @@ _K_CAP = 400
 _J_CAP = 2000
 _N_CAP = 50
 
+# c of the generic err_estimate's rounding term c eps sum|kept terms|
+# (derived in eval_generic).
+_ROUNDING_C = 8.0
+
 # The largest m whose m! is finite in binary64.
 _FACTORIAL_MAX = 170
 
-# Entries held by the per-exponent memos: (w, k) pairs of zeta(w - 2k),
-# and exponents of the singular-term constant or of Gamma(1/2 - m).
-_ZETA_MEMO = 4096
+# Exponents held by each per-exponent memo: the k-sum coefficient row,
+# the singular-term constant and Gamma(1/2 - m).
 _SINGULAR_MEMO = 256
 
 
@@ -152,9 +159,68 @@ def _require_positive_int(value: int, name: str) -> int:
 # sees every call that runs.
 
 
-@functools.lru_cache(maxsize=_ZETA_MEMO)
-def _zeta_k(w: float, k: int) -> float:
-    return zeta_real(w - 2.0 * k)
+class _ZetaRow:
+    """The k-sum coefficients row[k] = (-1)^k zeta(w - 2k) of one
+    exponent w, grown on demand by ``upto``.
+
+    While w - 2k >= 0 an entry is zeta_real(w - 2k), so the even
+    route's coefficients are those of zeta_real bit for bit.  From the
+    first k0 with w - 2k0 < 0 on, the functional equation (DLMF 25.4.1)
+    with sin(pi (w - 2k)/2) = (-1)^k sin(pi w/2) gives
+
+        row[k] = g_k zeta(2k + 1 - w),
+        g_k0 = sin(pi w/2) (2 pi)^(w - 2 k0) / pi * Gamma(2 k0 + 1 - w),
+        g_(k+1) = g_k (2k + 1 - w)(2k + 2 - w) / (4 pi^2),
+
+    with zeta(2k + 1 - w), argument > 1, from ``_zeta_gt1``.  The sine
+    is taken on w itself, so no rounded w - 2k sits next to a trivial
+    zero (at w = 2m it is exactly 0 past k = m), and 2^w pi^(w-1) is
+    never formed, so a large w does not overflow.  The k = m entry of
+    an odd w, a pole that the k-sum skips, is 0.
+
+    ``entries`` is an immutable tuple replaced whole, under a lock, so
+    a reader needs no lock and no entry is appended twice.
+    """
+
+    __slots__ = ("w", "entries", "_skip", "_k0", "_g", "_lock")
+
+    def __init__(self, w: float):
+        kind, m = classify_exponent(w)
+        self.w = w
+        self.entries: tuple[float, ...] = ()
+        self._skip = m if kind == ODD else None
+        self._k0 = int(w // 2.0) + 1
+        self._g = 0.0  # g of the last entry, once it is past k0
+        self._lock = threading.Lock()
+
+    def upto(self, k: int) -> tuple[float, ...]:
+        """The row, holding at least the entries 0..k."""
+        if k < len(self.entries):
+            return self.entries
+        with self._lock:
+            w, k0, g = self.w, self._k0, self._g
+            row = list(self.entries)
+            for j in range(len(row), k + 1):
+                if j == self._skip:
+                    row.append(0.0)
+                elif j < k0:
+                    z = zeta_real(w - 2.0 * j)
+                    row.append(-z if j & 1 else z)
+                else:
+                    if j == k0:
+                        g = _sin_half_pi(w) * (2.0 * math.pi) ** (w - 2.0 * j) / math.pi
+                        g *= gamma_real(2.0 * j + 1.0 - w)
+                    else:
+                        g *= (2.0 * j - 1.0 - w) * (2.0 * j - w) / (4.0 * _PI2)
+                    row.append(g * _zeta_gt1(2.0 * j + 1.0 - w))
+            self._g = g
+            self.entries = tuple(row)
+            return self.entries
+
+
+@functools.lru_cache(maxsize=_SINGULAR_MEMO)
+def _zeta_row(w: float) -> _ZetaRow:
+    return _ZetaRow(w)
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
@@ -302,6 +368,9 @@ def _k_sum(
     # magnitude of the first omitted term); when the least-term rule
     # stops the sum, the least term is that first omitted term.
     cap, eps, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
+    zrow = _zeta_row(w)
+    row = zrow.entries
+    n_row = len(row)
     running = sum(kept)
     mags: list[float] = []
     apow: complex = 1.0 + 0j  # a^k / k!
@@ -311,9 +380,10 @@ def _k_sum(
     k = 0
     while True:
         if k != m_skip:
-            term = _zeta_k(w, k) * apow
-            if k & 1:
-                term = -term
+            if k >= n_row:
+                row = zrow.upto(k)
+                n_row = len(row)
+            term = row[k] * apow
             mag = abs(term)
             mags.append(mag)
             if held is not None:
@@ -340,12 +410,26 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
 
     singular_term + sum'_k (-1)^k zeta(w - 2k) a^k / k!, the primed
     sum omitting k = m when w = 2m+1.  Truncation under
-    OptimalFirstMin stops just *before* the least term, so
-    err_estimate is the least term itself; under the other policies it
-    is the first omitted term.  The scan also stops once terms drop
-    below 1e-18 of the accumulated value: past that point further
-    terms cannot change the result at binary64.  Raises PrecisionError
-    when a term or the sum overflows binary64 (large w or |a|).
+    OptimalFirstMin stops just *before* the least term, so the
+    truncation part of err_estimate is the least term itself; under
+    the other policies it is the first omitted term.  The scan also
+    stops once terms drop below 1e-18 of the accumulated value: past
+    that point further terms cannot change the result at binary64.
+    Raises PrecisionError when a term or the sum overflows binary64
+    (large w or |a|).
+
+    err_estimate adds the rounding term c eps sum|kept terms|, the
+    singular term included, with eps = 2^-52 and c = 8.  With
+    u = eps/2, each kept term reaches math.fsum with a relative error
+    of at most: its coefficient, gamma_real in the singular term and
+    zeta_real or the row's recurrence in a k-term, 8u (measured
+    against mpmath); the power a^((w-1)/2), through hypot, pow and one
+    phase product, 3u; each factor a/k of a^k/k! and the product with
+    the coefficient, 3u.  math.fsum rounds the sum once, u.  For the
+    leading terms, which carry the sum, that is 14u + u = 7.5 eps per
+    unit of sum|t|, hence c = 8.  A later term carries 3u more per
+    index, but it has shrunk by more than that: the term ratio is about
+    k |a| / pi^2 where the expansion holds.
     """
     a, w = spec.a, spec.w
     if w <= 0.0:
@@ -364,7 +448,7 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         value=_complex_fsum(kept),
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
-        err_estimate=first_omitted,
+        err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept)),
         term_log=log,
         near_odd_warning=classify_exponent(w)[0] == NEAR_ODD,
     )
@@ -490,14 +574,12 @@ def _even_transform(
 ) -> Evaluation:
     # the algebraic part, the k-terms and the dual terms, in one sum
     parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
-    w = 2.0 * m
+    row = _zeta_row(2.0 * m).upto(m)
     mags: list[float] = []
     apow: complex = 1.0 + 0j  # a^k / k!
     k = 0
     while True:
-        term = _zeta_k(w, k) * apow
-        if k & 1:
-            term = -term
+        term = row[k] * apow
         parts.append(term)
         mags.append(abs(term))
         if k == m:

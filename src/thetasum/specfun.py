@@ -7,7 +7,9 @@ expansion engine needs on the real line:
   formula; past x = 170 through a private log-gamma),
 * digamma at positive integer arguments, psi(m+1) = -gamma + H_m,
 * the Riemann zeta function (accelerated alternating series for
-  s >= 1/2, the functional equation for s < 1/2).
+  s >= 1/2, the functional equation for s < 1/2), and a private
+  Euler-Maclaurin zeta(s) for s > 1, the factor of the engine's
+  coefficient row past its functional-equation step.
 
 The tail factor's inverse-factorial coefficients are generated by
 their term ratio inside ``engine.tail_factor``.  All functions are
@@ -200,6 +202,34 @@ def _zeta_alternating(s: float) -> float:
     # keeps full relative accuracy near the pole at s = 1.
     total = math.fsum(map(operator.mul, _ETA_SW, map(pow, _ETA_B, repeat(-s))))
     return total / -math.expm1((1.0 - s) * _LN2)
+
+
+# Euler-Maclaurin summation (DLMF 25.2.9) for zeta(s), s > 1: the head
+# n < N, then N^(1-s)/(s-1) + N^(-s)/2 and the Bernoulli corrections
+# B_2j/(2j)! (s)_(2j-1) N^(1-s-2j), j = 1..7, with N = 9.  For real
+# s > 1 the error is at most the first omitted correction, under
+# 3.4e-16 of zeta(s) for every s (largest near s = 2.8); rounding adds
+# a few ulp.
+_EM_N = 9.0
+_EM_HEAD = tuple(float(n) for n in range(1, int(_EM_N)))
+# B_2j for j = 1..7, as (numerator, denominator)
+_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
+# (B_2j/(2j)!, 2j - 1, 2j) from j = 7 down, for Horner's rule
+_EM_HORNER = tuple(
+    (float(Fraction(*_EM_BERNOULLI[j - 1]) / math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
+    for j in range(len(_EM_BERNOULLI), 0, -1)
+)
+
+
+def _zeta_gt1(s: float) -> float:
+    # zeta(s) for s > 1; s - 1 is exact wherever it is small, so the
+    # pole term keeps full relative accuracy next to s = 1
+    corr = 0.0
+    for b, lo, hi in _EM_HORNER:
+        # (s)_(2j+1) / (s)_(2j-1) = (s + 2j - 1)(s + 2j)
+        corr = b + corr * (s + lo) * (s + hi) / (_EM_N * _EM_N)
+    p = _EM_N**-s
+    return sum(map(pow, _EM_HEAD, repeat(-s))) + p * (_EM_N / (s - 1.0) + 0.5 + corr * s / _EM_N)
 
 
 def zeta_real(s: float) -> float:

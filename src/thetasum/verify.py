@@ -365,8 +365,8 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
     the oracle noise floor: the regression would fit rounding noise.
     """
     w = float(w)
-    if w <= 0.0:
-        raise DomainError(f"remainder_slope requires w > 0, got {w}")
+    if not (math.isfinite(w) and w > 0.0):
+        raise DomainError(f"remainder_slope requires a finite w > 0, got {w}")
     kind, _ = classify_exponent(w)
     if kind == EVEN:
         raise EvenExponentError("remainder_slope requires w not an even integer")

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,10 +143,15 @@ def test_generic_near_odd_warning():
 
 def test_generic_err_estimate_is_least_logged_term():
     # under first-local-min truncation the omitted least term is both
-    # the error estimate and the smallest magnitude in the log
-    ev = eval_generic(SumSpec(0.05, 1.5), OPTIMAL)
+    # the truncation part of the error estimate and the smallest
+    # magnitude in the log; the rest is the rounding term over the
+    # singular term and the kept k-terms
+    spec = SumSpec(0.05, 1.5)
+    ev = eval_generic(spec, OPTIMAL)
     mags = [m for _, m in ev.term_log.series("k")]
-    assert ev.err_estimate == min(mags)
+    kept = [abs(singular_term(spec)), *mags[: ev.terms_used["k"]]]
+    rounding = engine._ROUNDING_C * sys.float_info.epsilon * sum(kept)
+    assert ev.err_estimate == min(mags) + rounding
 
 
 def test_generic_fixed_policy_counts():
@@ -318,7 +324,7 @@ def test_even_refuses_w_whose_power_of_two_overflows(monkeypatch, w):
         raise AssertionError("a term was made")
 
     monkeypatch.setattr(engine, "_gamma_half_minus", no_terms)
-    monkeypatch.setattr(engine, "_zeta_k", no_terms)
+    monkeypatch.setattr(engine, "_zeta_row", no_terms)
     with pytest.raises(PrecisionError, match="past binary64"):
         eval_even(SumSpec(1e-3, w), round(w / 2))
 
@@ -466,11 +472,11 @@ def test_fsum_keeps_each_component_through_cancellation():
 def test_truncate_start_value_survives_larger_terms(monkeypatch):
     # the start value is the part a plain sum loses when the larger
     # term comes in; the third term is held back by Fixed(2).  At a = 1
-    # the k-sum's terms are +c_0, -c_1 and c_2 / 2, so these
-    # coefficients give the terms big, -big and 5 + 5j.
+    # the k-sum's terms are row[0], row[1] and row[2] / 2, so this row
+    # gives the terms big, -big and 5 + 5j.
     big = 1e16 - 1e16j
-    coefficients = [big, big, 10.0 + 10.0j]
-    monkeypatch.setattr(engine, "_zeta_k", lambda w, k: coefficients[k])
+    row = (big, -big, 10.0 + 10.0j)
+    monkeypatch.setattr(engine, "_zeta_row", lambda w: SimpleNamespace(entries=row, upto=lambda k: row))
     kept = [1.0 - 1.0j]
     log = TermLog()
     added, last = engine._k_sum(1.0 + 0j, 1.5, None, Fixed(2), kept, log)
@@ -527,9 +533,7 @@ def _reference_generic(spec, policy):
         apow, k = 1.0 + 0j, 0
         while True:
             if k != m_skip:
-                term = zeta_real(w - 2.0 * k) * apow
-                if k & 1:
-                    term = -term
+                term = engine._zeta_row(w).upto(k)[k] * apow
                 log.log("k", k, abs(term))
                 yield term, abs(term)
             k += 1
@@ -537,7 +541,8 @@ def _reference_generic(spec, policy):
 
     kept = [singular_term(spec)]
     added, least, last = _reference_truncate(terms(), policy, engine._K_CAP, kept, rel_floor=engine._REL_FLOOR)
-    return engine._complex_fsum(kept), {"k": added}, last if least is None else abs(least), log.entries
+    rounding = engine._ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept))
+    return engine._complex_fsum(kept), {"k": added}, (last if least is None else abs(least)) + rounding, log.entries
 
 
 def _reference_tail(a, m, n, policy):
@@ -672,6 +677,12 @@ def test_remainder_slope_preconditions():
         remainder_slope(1.3, 2, [0.1, 0.05, 0.03, 0.0125])  # not geometric
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_remainder_slope_refuses_non_finite_w(w):
+    with pytest.raises(DomainError, match="finite"):
+        remainder_slope(w, 2, GRID)
+
+
 # ----------------------------------------------------------------------
 # per-exponent memo
 # ----------------------------------------------------------------------
@@ -679,12 +690,6 @@ def test_remainder_slope_preconditions():
 MEMO_W = (0.3, 1.5, 2.98, 3.0, 3.03, 4.0, 5.25, 6.0, 7.0)
 MEMO_A = [cmath.rect(r, t) for r in (0.003, 0.03, 0.3, 1.0) for t in (0.0, 0.7, -1.2)]
 MEMO_POLICIES = (OPTIMAL, Fixed(3), ErrorTarget(1e-8))
-
-
-def _clear_memos():
-    engine._zeta_k.cache_clear()
-    engine._singular_const.cache_clear()
-    engine._gamma_half_minus.cache_clear()
 
 
 def _route(spec, policy=OPTIMAL):
@@ -703,10 +708,10 @@ def _memo_grid():
     ]
 
 
-def test_memo_cold_and_warm_results_are_identical():
+def test_memo_cold_and_warm_results_are_identical(clear_memos):
     # repr(Evaluation) covers value, terms_used, err_estimate and every
     # TermLog entry
-    _clear_memos()
+    clear_memos()
     cold = [repr(ev) for _, _, ev in _memo_grid()]
     warm = _memo_grid()
     assert [repr(ev) for _, _, ev in warm] == cold
@@ -716,8 +721,8 @@ def test_memo_cold_and_warm_results_are_identical():
             assert mag == pytest.approx(want, rel=1e-12, abs=0.0), (w, a, k)
 
 
-def test_memo_misses_go_through_engine_names(monkeypatch):
-    _clear_memos()
+def test_memo_misses_go_through_engine_names(monkeypatch, clear_memos):
+    clear_memos()
     zetas, gammas = [], []
 
     def counting_zeta(s):
@@ -732,19 +737,23 @@ def test_memo_misses_go_through_engine_names(monkeypatch):
     monkeypatch.setattr(engine, "gamma_real", counting_gamma)
     w = 1.25
     first = eval_generic(SumSpec(0.1, w))
-    assert zetas == [w - 2.0 * k for k, _ in first.term_log.series("k")]
-    assert gammas == [0.5 - 0.5 * w]
+    # zeta_real makes the row entries with w - 2k >= 0, here k = 0; from
+    # k0 = 1 on the row needs one Gamma(2 k0 + 1 - w), after the
+    # singular term's Gamma((1 - w)/2)
+    assert len(first.term_log.series("k")) > 2
+    assert zetas == [w]
+    assert gammas == [0.5 - 0.5 * w, 3.0 - w]
     # a smaller |a| needs no more k-terms: every coefficient is a hit
     second = eval_generic(SumSpec(complex(0.02, 0.005), w))
     assert second.terms_used["k"] <= first.terms_used["k"]
-    assert len(zetas) == len(first.term_log.series("k"))
-    assert len(gammas) == 1
-    for memo in (engine._zeta_k, engine._singular_const, engine._gamma_half_minus):
+    assert len(zetas) == 1
+    assert len(gammas) == 2
+    for memo in (engine._zeta_row, engine._singular_const, engine._gamma_half_minus):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
 
-def test_memo_is_thread_safe():
+def test_memo_is_thread_safe(clear_memos):
     specs = [
         SumSpec(cmath.rect(0.002 * 1.5 ** (i % 12), 0.1 * (i % 9) - 0.4), MEMO_W[i % len(MEMO_W)])
         for i in range(200)
@@ -753,9 +762,9 @@ def test_memo_is_thread_safe():
     def one(spec):
         return repr(_route(spec))
 
-    _clear_memos()
+    clear_memos()
     sequential = [one(spec) for spec in specs]
-    _clear_memos()
+    clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -764,6 +773,40 @@ def test_memo_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
+
+
+@pytest.mark.parametrize("w", [1.25, 3.0, 5.99976, 17.3])
+def test_row_grown_by_eight_threads_equals_the_sequential_row(w):
+    sequential = engine._ZetaRow(w).upto(40)
+    targets = list(range(41)) * 2
+    rng = random.Random(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(20):
+                row = engine._ZetaRow(w)  # cold, outside the memo
+                rng.shuffle(targets)
+                grown = list(pool.map(row.upto, targets, timeout=60))
+                assert row.entries == sequential
+                for k, entries in zip(targets, grown):
+                    assert len(entries) > k and entries == sequential[: len(entries)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_even_k_terms_are_zeta_real_bit_for_bit(m):
+    # the even route's coefficients never come from the recurrence
+    a = 0.3 + 0.2j
+    row = engine._zeta_row(2.0 * m).upto(m)
+    logged = eval_even(SumSpec(a, 2.0 * m), m).term_log.series("k")
+    apow = 1.0 + 0j
+    for k in range(m + 1):
+        z = zeta_real(2.0 * m - 2.0 * k)
+        assert row[k] == (-z if k & 1 else z)
+        assert logged[k] == (k, abs(z * apow))
+        apow *= a / (k + 1)
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,6 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from thetasum import SumSpec, eval_even, eval_generic  # noqa: E402
-from thetasum import engine  # noqa: E402
-
-
-def _clear_memos():
-    engine._zeta_k.cache_clear()
-    engine._singular_const.cache_clear()
-    engine._gamma_half_minus.cache_clear()
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -24,10 +17,10 @@ def _clear_memos():
     arg=st.floats(-1.4, 1.4),
     w=st.floats(0.01, 6.99),
 )
-def test_cold_and_warm_memo_give_identical_results(modulus, arg, w):
+def test_cold_and_warm_memo_give_identical_results(clear_memos, modulus, arg, w):
     assume(abs(w - 2.0 * round(w / 2.0)) > 1e-6)
     spec = SumSpec(cmath.rect(modulus, arg), w)
-    _clear_memos()
+    clear_memos()
     cold = repr(eval_generic(spec))
     warm = repr(eval_generic(spec))
     assert warm == cold
@@ -39,9 +32,9 @@ def test_cold_and_warm_memo_give_identical_results(modulus, arg, w):
     arg=st.floats(-1.4, 1.4),
     m=st.integers(1, 4),
 )
-def test_cold_and_warm_memo_give_identical_even_results(modulus, arg, m):
+def test_cold_and_warm_memo_give_identical_even_results(clear_memos, modulus, arg, m):
     spec = SumSpec(cmath.rect(modulus, arg), 2.0 * m)
-    _clear_memos()
+    clear_memos()
     cold = repr(eval_even(spec, m))
     warm = repr(eval_even(spec, m))
     assert warm == cold
