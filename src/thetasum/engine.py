@@ -34,6 +34,10 @@ binary64 running sum serves the stop tests only.
 Term magnitudes collect in a local list as well and reach the TermLog in
 one ``TermLog.extend`` per series; only the even route's dual terms are
 logged one by one, between the tail-factor series they decorate.
+The even route computes a dual term's tail factor only when the term
+can matter: under the default policy with the dual count chosen by the
+route, a term whose rigorous bound is below 1e-18 of the value adds 0
+and joins err_estimate by that bound (``eval_even``).
 
 Everything is pure and thread safe.  The coefficients that depend on w
 alone are memoised per exponent, in fixed-size caches of
@@ -541,12 +545,26 @@ def eval_even(
     dual sum stops at the first n whose undecorated magnitude
     exp(-pi^2 n^2 Re(1/a)) / n^(2m) falls below 1e-18 of the value
     accumulated so far (that term is still included), capped at the
-    n-series cap.  A dual term whose weight exp(-pi^2 n^2 / a)
-    underflows to exactly 0 (Re(1/a) above about 75.5) is 0 whatever
-    its tail factor, so the factor is not computed: that n logs no
-    j-series, and at n = 1 the reported j count is 0.  err_estimate
-    combines the first omitted tail-factor term at n = 1 with the first
-    omitted dual term.
+    n-series cap.
+
+    One skip rule decides whether a dual term's tail factor is
+    computed.  Under OptimalFirstMin every kept j-term has magnitude
+    <= 1 and the least term comes by j <= pi^2 n^2 / |a|, so
+
+        |term_n| <= |(a/pi)^(2m-1/2)| exp(-pi^2 n^2 Re(1/a)) / n^(2m)
+                    * (1 + pi^2 n^2 / |a|).
+
+    The factor is skipped, and the term adds 0, when its weight
+    exp(-pi^2 n^2 / a) underflows to exactly 0 (Re(1/a) above about
+    75.5 / n^2) or, under OptimalFirstMin with n_max=None only, when
+    that bound is below 1e-18 of the value accumulated so far.  A
+    skipped n logs no j-series, and at n = 1 the reported j count is 0.
+    Fixed and ErrorTarget, and any explicit n_max, keep the paper's
+    factors wherever the weight is not 0.
+
+    err_estimate adds three parts: the first omitted tail-factor term
+    at n = 1, the first omitted dual term, and the bounds of the
+    skipped dual terms.
 
     Raises PrecisionError when an intermediate overflows binary64
     (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
@@ -593,25 +611,35 @@ def _even_transform(
     pref = (a / math.pi) ** (2 * m - 0.5)
     if m & 1:
         pref = -pref
+    abs_pref = abs(pref)
     re_inv = (1.0 / a).real
+    abs_a = abs(a)
     auto = n_max is None
     ncap = _N_CAP if auto else min(_require_positive_int(n_max, "n_max"), _N_CAP)
+    # the skip rule of eval_even: a bound below the floor skips a factor
+    # only under OptimalFirstMin with n chosen here
+    skip_rel = _REL_FLOOR if auto and isinstance(policy, OptimalFirstMin) else 0.0
 
     n_used = 0
     fo_j_n1 = 0.0
     j_used_n1 = 0
+    skipped = 0.0
     for n in range(1, ncap + 1):
-        expo = -_PI2 * n * n * re_inv
-        raw = (math.exp(expo) if expo > -745.0 else 0.0) / n ** (2 * m)
+        nn2 = _PI2 * n * n
+        w_mag = math.exp(-nn2 * re_inv)  # |exp(-pi^2 n^2 / a)|
+        raw = w_mag / n ** (2 * m)
+        size = abs(running)
         # auto rule: this n is the last one worth including
-        last = auto and raw < _REL_FLOOR * abs(running)
-        weight = cmath.exp(-_PI2 * n * n / a)
-        if weight:
+        last = auto and raw < _REL_FLOOR * size
+        # |tail_factor| <= 1 + pi^2 n^2 / |a| under OptimalFirstMin
+        bound = abs_pref * raw * (1.0 + nn2 / abs_a)
+        if w_mag and bound >= skip_rel * size:
             ups, j_used, fo = tail_factor(a, m, n, policy, log=log)
-            term = pref * ups * weight / n ** (2 * m)
+            term = pref * ups * cmath.exp(-nn2 / a) / n ** (2 * m)
         else:
-            # an underflowed weight zeroes the term whatever the factor
+            # the term adds 0 and its bound joins err_estimate
             term, j_used, fo = 0j, 0, 0.0
+            skipped += bound
         log.log("n", n, abs(term))
         parts.append(term)
         running += term
@@ -621,7 +649,6 @@ def _even_transform(
         if last:
             break
 
-    abs_pref = abs(pref)
     expo1 = -_PI2 * re_inv
     fo_tail_j = abs_pref * fo_j_n1 * (math.exp(expo1) if expo1 > -745.0 else 0.0)
     nn = n_used + 1
@@ -631,7 +658,7 @@ def _even_transform(
         value=_complex_fsum(parts),
         method=MethodChoice.EVEN_TRANSFORM,
         terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
-        err_estimate=fo_tail_j + fo_tail_n,
+        err_estimate=fo_tail_j + fo_tail_n + skipped,
         term_log=log,
     )
 

@@ -278,17 +278,38 @@ def _count_tail_factor_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("a", [0.01, 0.005 + 0.002j])
+def _skipped_bounds(a, m, n_used):
+    # the bound eval_even adds to err_estimate for each skipped dual term
+    pref = abs((a / math.pi) ** (2 * m - 0.5))
+    return sum(
+        pref * math.exp(-math.pi**2 * n * n * (1 / a).real) / n ** (2 * m) * (1 + math.pi**2 * n * n / abs(a))
+        for n in range(1, n_used + 1)
+    )
+
+
+@pytest.mark.parametrize("a", [0.01, 0.005 + 0.002j, 0.1, 0.25, 0.05 + 0.02j])
 @pytest.mark.parametrize("m", [2, 3])
 def test_even_skips_dual_terms_whose_weight_underflows(monkeypatch, a, m):
-    # Re(1/a) >= 100: exp(-pi^2 n^2 / a) is exactly 0 for every n
+    # Re(1/a) >= 100: exp(-pi^2 n^2 / a) is exactly 0 for every n;
+    # 4 <= Re(1/a) <= 10: the weight is not 0, but each term's bound is
+    # below 1e-18 of the value, so no factor is computed either
     calls = _count_tail_factor_calls(monkeypatch)
     spec = SumSpec(a, 2.0 * m)
     ev = eval_even(spec, m, OPTIMAL)
     assert calls == []
     assert ev.terms_used["j"] == 0
     assert not any(name.startswith("j[n=") for name, _, _ in ev.term_log.entries)
-    assert abs(ev.value - direct_sum(spec).value) <= 1e-12
+    ref = direct_sum(spec)
+    assert abs(ev.value - ref.value) <= ref.noise_floor()
+    assert ev.err_estimate >= _skipped_bounds(a, m, ev.terms_used["n"]) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("policy", [Fixed(3), ErrorTarget(1e-3)], ids=repr)
+def test_even_skips_for_the_bound_only_under_the_optimal_policy(monkeypatch, policy):
+    calls = _count_tail_factor_calls(monkeypatch)
+    ev = eval_even(SumSpec(0.25, 4.0), 2, policy)
+    assert len(calls) == ev.terms_used["n"] == 2
+    assert ev.terms_used["j"] >= 1
 
 
 def test_even_keeps_dual_terms_whose_weight_is_nonzero(monkeypatch):
@@ -437,6 +458,33 @@ def test_tail_factor_partial_sum_matches_coefficients():
     x = -a / (math.pi**2 * n * n)
     brute = sum(_inv_factorial_coeff(m, j) * x**j for j in range(4))
     assert value == pytest.approx(brute, rel=1e-14)
+
+
+BOUND_MODULI = [1e-3, 0.013, 0.1, 1.0, 5.0, 20.0]
+BOUND_ARGS = [0.0, 0.8, -0.8, 1.5, -1.5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_tail_factor_optimal_is_bounded(m, n):
+    # eval_even skips a dual term by this bound: under OptimalFirstMin
+    # every kept term is at most 1 and the least term comes by
+    # j <= pi^2 n^2 / |a|
+    for modulus in BOUND_MODULI:
+        for arg in BOUND_ARGS:
+            value, _, _ = tail_factor(cmath.rect(modulus, arg), m, n, OPTIMAL)
+            assert abs(value) <= 1.0 + math.pi**2 * n * n / modulus
+
+
+def test_tail_factor_optimal_bound_holds_at_the_cap(monkeypatch):
+    # the terms underflow long before the scan reaches _J_CAP unaided,
+    # so the cap is lowered to stop a scan that is still descending
+    a, m, n = 1e-3, 1, 1
+    assert tail_factor(a, m, n, OPTIMAL)[1] > 100
+    monkeypatch.setattr(engine, "_J_CAP", 100)
+    value, j_used, _ = tail_factor(a, m, n, OPTIMAL)
+    assert j_used == 100
+    assert abs(value) <= 1.0 + math.pi**2 * n * n / a
 
 
 def test_tail_factor_domain():

@@ -1,6 +1,8 @@
-"""Property: the per-exponent memos never change a generic or even-route result."""
+"""Properties: the per-exponent memos never change a generic or even-route
+result, and the even route's skipped dual terms stay inside err_estimate."""
 
 import cmath
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from thetasum import SumSpec, eval_even, eval_generic  # noqa: E402
+from thetasum import SumSpec, direct_sum, eval_even, eval_generic  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -38,3 +40,21 @@ def test_cold_and_warm_memo_give_identical_even_results(clear_memos, modulus, ar
     cold = repr(eval_even(spec, m))
     warm = repr(eval_even(spec, m))
     assert warm == cold
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    modulus=st.floats(1e-3, 0.25),
+    arg=st.floats(-1.4, 1.4),
+    m=st.integers(1, 6),
+)
+def test_even_route_with_skipped_dual_terms_is_within_its_estimate(modulus, arg, m):
+    # Re(1/a) >= 4: every dual term's weight is at most 7e-18, so the
+    # optimal policy skips most factors by their bound
+    a = cmath.rect(modulus, arg)
+    assume((1 / a).real >= 4.0)
+    spec = SumSpec(a, 2.0 * m)
+    ev = eval_even(spec, m)
+    ref = direct_sum(spec)
+    slack = ref.noise_floor() + 4 * sys.float_info.epsilon * abs(ev.value)
+    assert abs(ev.value - ref.value) <= 10 * ev.err_estimate + slack

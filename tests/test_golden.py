@@ -3,11 +3,13 @@
 The files under ``tests/golden/`` were written by the commands below.
 A refactor of the engine or the CLI must leave every byte in place;
 regenerate the files only for a change that is meant to move a value,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``: the named
+files, or every file when no name is given.
 """
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,15 +85,26 @@ def _stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / TABLE1).write_text(_stdout(["table1", "--csv", str(GOLDEN / TABLE1_CSV)]))
-    for name, args in EVALS.items():
-        (GOLDEN / name).write_text(_stdout(["eval", *args]))
-    (GOLDEN / VERIFY).write_text(_stdout(["verify", "--suite", "all"]))
-    for name, args in SWEEPS.items():
-        assert main(["sweep", *args, "--out", str(GOLDEN / name)]) == 0
+def _regenerate(name: str) -> None:
+    path = GOLDEN / name
+    if name == TABLE1:
+        path.write_text(_stdout(["table1"]))
+    elif name == TABLE1_CSV:
+        _stdout(["table1", "--csv", str(path)])
+    elif name == VERIFY:
+        path.write_text(_stdout(["verify", "--suite", "all"]))
+    elif name in EVALS:
+        path.write_text(_stdout(["eval", *EVALS[name]]))
+    else:
+        _stdout(["sweep", *SWEEPS[name], "--out", str(path)])
 
 
 if __name__ == "__main__":
-    _regenerate()
+    every = [TABLE1, TABLE1_CSV, *EVALS, VERIFY, *SWEEPS]
+    names = sys.argv[1:] or every
+    unknown = sorted(set(names) - set(every))
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; known: {' '.join(every)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in names:
+        _regenerate(name)
