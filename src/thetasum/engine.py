@@ -2,11 +2,6 @@
 
 Routes besides the direct oracle, all valid in the sector Re(a) > 0:
 
-* evaluate(..., MethodChoice.CLASSICAL_PJ) -- the classical
-  Poisson-Jacobi identity for w = 0 (exact, not asymptotic): the
-  Gaussian sum equals
-  (1/2) sqrt(pi/a) - 1/2 + sqrt(pi/a) sum_n exp(-pi^2 n^2 / a).
-
 * eval_generic -- the small-a expansion for w > 0 not an even integer:
 
       S = singular_term + sum'_k (-1)^k zeta(w - 2k) a^k / k!
@@ -19,6 +14,9 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   Poisson-Jacobi type: an algebraic part plus the dual sum in
   exp(-pi^2 n^2 / a), each dual term decorated by an asymptotic
   series tail_factor(a; m, n) with inverse-factorial coefficients.
+  Its m = 0 case, every tail factor exactly 1, is the classical
+  Poisson-Jacobi identity for w = 0, exact, not asymptotic, and
+  evaluate(..., MethodChoice.CLASSICAL_PJ) runs it in the same loop.
 
 Which route fits an exponent is decided in one place,
 ``classify_exponent``: w is even, odd, near odd, or none of these.
@@ -243,43 +241,6 @@ def _singular_const(w: float) -> tuple[Optional[int], float]:
             raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
         return m, 0.5 * digamma_int(m)
     return None, 0.5 * gamma_real(0.5 - 0.5 * w)
-
-
-# ----------------------------------------------------------------------
-# classical transformation (w = 0)
-# ----------------------------------------------------------------------
-
-
-def _evaluate_classical(a: complex, n_max: Optional[int] = None) -> Evaluation:
-    # n_max=None: stop once the first omitted dual term is below 1e-17
-    # of the value, capped at the n-series cap.  Either way stop at the
-    # first dual term that underflows to 0: the terms only shrink, so
-    # the rest would add nothing.
-    root = cmath.sqrt(cmath.pi / a)
-    abs_root = abs(root)
-    re_inv = (1.0 / a).real
-    dual: list[complex] = []
-    mags: list[float] = []
-    head = 0.5 * root - 0.5
-    running = head
-    for n in range(1, (_N_CAP if n_max is None else n_max) + 1):
-        term = root * cmath.exp(-_PI2 * n * n / a)
-        mags.append(abs(term))
-        dual.append(term)
-        running += term
-        expo = -_PI2 * (n + 1) * (n + 1) * re_inv
-        next_mag = abs_root * (math.exp(expo) if expo > -745.0 else 0.0)
-        if term == 0 or (n_max is None and next_mag < 1e-17 * abs(running)):
-            break
-    log = TermLog()
-    log.extend("n", range(1, n + 1), mags)
-    return Evaluation(
-        value=head + _complex_fsum(dual),
-        method=MethodChoice.CLASSICAL_PJ,
-        terms_used={"n": n},
-        err_estimate=next_mag,
-        term_log=log,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +506,13 @@ def eval_even(
     dual sum stops at the first n whose undecorated magnitude
     exp(-pi^2 n^2 Re(1/a)) / n^(2m) falls below 1e-18 of the value
     accumulated so far (that term is still included), capped at the
-    n-series cap.
+    n-series cap.  Under every n_max it stops at the first n whose
+    weight exp(-pi^2 n^2 / a) underflows to 0, that n included.
+
+    At m = 0 this is the classical identity, which
+    ``evaluate(spec, MethodChoice.CLASSICAL_PJ)`` runs (this function
+    takes m >= 1): the tail factor is exactly 1, as (m)_j = 0 for
+    j >= 1, so none is computed and the j count is 0.
 
     One skip rule decides whether a dual term's tail factor is
     computed.  Under OptimalFirstMin every kept j-term has magnitude
@@ -562,9 +529,24 @@ def eval_even(
     Fixed and ErrorTarget, and any explicit n_max, keep the paper's
     factors wherever the weight is not 0.
 
-    err_estimate adds three parts: the first omitted tail-factor term
-    at n = 1, the first omitted dual term, and the bounds of the
-    skipped dual terms.
+    err_estimate adds four parts: the first omitted tail-factor term
+    at n = 1, the first omitted dual term, the bounds of the skipped
+    dual terms, and the rounding c eps max|part| with eps = 2^-52 and
+    c = 3m + 4.  math.fsum rounds the sum once, so the error is what
+    the parts bring in, and where they cancel the largest brings the
+    most.  With u = eps/2, a k-term brings a few u.  The algebraic part
+    and a dual term carry a^(m-1/2) or (a/pi)^(2m-1/2), which Python
+    takes in polar form, so the rounding of a/pi, of its modulus and of
+    its argument is multiplied by the exponent: against mpmath, up to
+    4.3u per unit of m (m = 1..40, |a| in [1e-3, 20], |arg a| <= 1.55),
+    2.2 eps.  exp(-pi^2 n^2 / a), the tail factor and the products add
+    a few u, hence c = 3m + 4.  Against the same truncated sum in
+    50-digit arithmetic, at 4500 seeded points with m in 0..40, |a| in
+    [1e-3, 20] and |arg a| <= 1.55, the rounding error stayed below
+    0.62 c eps max|part| for m >= 1; at m = 0 it reached 1.33 c at
+    |arg a| <= 1.5 and 2.46 c at 1.55, where exp(-pi^2 n^2 / a)
+    multiplies the rounding of its argument by |pi^2 n^2 / a| while its
+    modulus is not small.
 
     Raises PrecisionError when an intermediate overflows binary64
     (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
@@ -579,88 +561,93 @@ def eval_even(
         # unbounded time: 2^(2m) is past binary64, and the first omitted
         # dual term divides by at least that much
         raise PrecisionError(f"w = {w}: the even transformation divides by 2^{2 * m}, past binary64")
-    try:
-        return _even_transform(a, m, policy, n_max)
-    except OverflowError:
-        raise PrecisionError(
-            f"the even transformation at a = {a}, w = {w} overflows binary64"
-        ) from None
+    return _even_transform(a, m, policy, n_max)
 
 
 def _even_transform(
     a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int]
 ) -> Evaluation:
-    # the algebraic part, the k-terms and the dual terms, in one sum
-    parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
-    row = _zeta_row(2.0 * m).upto(m)
-    mags: list[float] = []
-    apow: complex = 1.0 + 0j  # a^k / k!
-    k = 0
-    while True:
-        term = row[k] * apow
-        parts.append(term)
-        mags.append(abs(term))
-        if k == m:
-            break
-        k += 1
-        apow *= a / k
-    log = TermLog()
-    log.extend("k", range(m + 1), mags)
-    running = sum(parts)
+    # eval_even at m >= 1, the classical identity at m = 0
+    try:
+        # the algebraic part, the k-terms and the dual terms, in one sum
+        parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
+        row = _zeta_row(2.0 * m).upto(m)
+        mags: list[float] = []
+        apow: complex = 1.0 + 0j  # a^k / k!
+        k = 0
+        while True:
+            term = row[k] * apow
+            parts.append(term)
+            mags.append(abs(term))
+            if k == m:
+                break
+            k += 1
+            apow *= a / k
+        log = TermLog()
+        log.extend("k", range(m + 1), mags)
+        running = sum(parts)
 
-    pref = (a / math.pi) ** (2 * m - 0.5)
-    if m & 1:
-        pref = -pref
-    abs_pref = abs(pref)
-    re_inv = (1.0 / a).real
-    abs_a = abs(a)
-    auto = n_max is None
-    ncap = _N_CAP if auto else min(_require_positive_int(n_max, "n_max"), _N_CAP)
-    # the skip rule of eval_even: a bound below the floor skips a factor
-    # only under OptimalFirstMin with n chosen here
-    skip_rel = _REL_FLOOR if auto and isinstance(policy, OptimalFirstMin) else 0.0
+        pref = (a / math.pi) ** (2 * m - 0.5)
+        if m & 1:
+            pref = -pref
+        abs_pref = abs(pref)
+        re_inv = (1.0 / a).real
+        abs_a = abs(a)
+        auto = n_max is None
+        ncap = _N_CAP if auto else min(_require_positive_int(n_max, "n_max"), _N_CAP)
+        # the skip rule of eval_even: a bound below the floor skips a factor
+        # only under OptimalFirstMin with n chosen here
+        skip_rel = _REL_FLOOR if auto and isinstance(policy, OptimalFirstMin) else 0.0
 
-    n_used = 0
-    fo_j_n1 = 0.0
-    j_used_n1 = 0
-    skipped = 0.0
-    for n in range(1, ncap + 1):
-        nn2 = _PI2 * n * n
-        w_mag = math.exp(-nn2 * re_inv)  # |exp(-pi^2 n^2 / a)|
-        raw = w_mag / n ** (2 * m)
-        size = abs(running)
-        # auto rule: this n is the last one worth including
-        last = auto and raw < _REL_FLOOR * size
-        # |tail_factor| <= 1 + pi^2 n^2 / |a| under OptimalFirstMin
-        bound = abs_pref * raw * (1.0 + nn2 / abs_a)
-        if w_mag and bound >= skip_rel * size:
-            ups, j_used, fo = tail_factor(a, m, n, policy, log=log)
-            term = pref * ups * cmath.exp(-nn2 / a) / n ** (2 * m)
-        else:
-            # the term adds 0 and its bound joins err_estimate
-            term, j_used, fo = 0j, 0, 0.0
-            skipped += bound
-        log.log("n", n, abs(term))
-        parts.append(term)
-        running += term
-        n_used = n
-        if n == 1:
-            fo_j_n1, j_used_n1 = fo, j_used
-        if last:
-            break
+        n_used = 0
+        fo_j_n1 = 0.0
+        j_used_n1 = 0
+        skipped = 0.0
+        for n in range(1, ncap + 1):
+            nn2 = _PI2 * n * n
+            w_mag = math.exp(-nn2 * re_inv)  # |exp(-pi^2 n^2 / a)|
+            raw = w_mag / n ** (2 * m)
+            size = abs(running)
+            # auto rule: this n is the last one worth including
+            last = auto and raw < _REL_FLOOR * size
+            # |tail_factor| <= 1 + pi^2 n^2 / |a| under OptimalFirstMin; a
+            # zero weight's 0, not 0 * inf once pi^2 n^2 / |a| overflows
+            bound = abs_pref * raw * (1.0 + nn2 / abs_a) if w_mag else 0.0
+            if w_mag and bound >= skip_rel * size:
+                # at m = 0 the factor is exactly 1: (m)_j = 0 for j >= 1
+                ups, j_used, fo = tail_factor(a, m, n, policy, log=log) if m else (1.0, 0, 0.0)
+                term = pref * ups * cmath.exp(-nn2 / a) / n ** (2 * m)
+            else:
+                # the term adds 0 and its bound joins err_estimate
+                term, j_used, fo = 0j, 0, 0.0
+                skipped += bound
+            log.log("n", n, abs(term))
+            parts.append(term)
+            running += term
+            n_used = n
+            if n == 1:
+                fo_j_n1, j_used_n1 = fo, j_used
+            if last or not w_mag:
+                # every later weight underflows too
+                break
 
-    expo1 = -_PI2 * re_inv
-    fo_tail_j = abs_pref * fo_j_n1 * (math.exp(expo1) if expo1 > -745.0 else 0.0)
-    nn = n_used + 1
-    expon = -_PI2 * nn * nn * re_inv
-    fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
-    return Evaluation(
-        value=_complex_fsum(parts),
-        method=MethodChoice.EVEN_TRANSFORM,
-        terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
-        err_estimate=fo_tail_j + fo_tail_n + skipped,
-        term_log=log,
-    )
+        expo1 = -_PI2 * re_inv
+        fo_tail_j = abs_pref * fo_j_n1 * (math.exp(expo1) if expo1 > -745.0 else 0.0)
+        nn = n_used + 1
+        expon = -_PI2 * nn * nn * re_inv
+        fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
+        # the rounding of the largest part, c = 3m + 4 (derived in eval_even)
+        rounding = (3 * m + 4) * sys.float_info.epsilon * max(map(abs, parts))
+        return Evaluation(
+            value=_complex_fsum(parts),
+            method=MethodChoice.EVEN_TRANSFORM if m else MethodChoice.CLASSICAL_PJ,
+            terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
+            err_estimate=fo_tail_j + fo_tail_n + skipped + rounding,
+            term_log=log,
+        )
+    except (OverflowError, ZeroDivisionError):
+        # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0
+        raise PrecisionError(f"the transformation at a = {a}, w = {2 * m} overflows binary64") from None
 
 
 # ----------------------------------------------------------------------
@@ -679,9 +666,9 @@ def evaluate(
 
     DIRECT delegates to the oracle (err_estimate is its noise floor).
     EVEN_TRANSFORM derives m from w and requires w = 2m within
-    tolerance; CLASSICAL_PJ requires w = 0 and is exposed for the
-    identity check.  Both transformations sum n_max dual terms, or
-    choose the count themselves when n_max is None.
+    tolerance; CLASSICAL_PJ requires w = 0 and runs the same
+    transformation at m = 0.  Both sum n_max dual terms, or choose the
+    count themselves when n_max is None.
     """
     if method is MethodChoice.DIRECT:
         res = direct_sum(spec, eps)
@@ -704,7 +691,5 @@ def evaluate(
     if method is MethodChoice.CLASSICAL_PJ:
         if abs(spec.w) > INTEGER_TOL:
             raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
-        if n_max is not None:
-            _require_positive_int(n_max, "n_max")
-        return _evaluate_classical(spec.a, n_max)
+        return _even_transform(spec.a, 0, policy, n_max)
     raise DomainError(f"unknown method {method!r}")

@@ -151,9 +151,9 @@ class TermLog:
 class Evaluation:
     """A computed value with its method tag and truncation diagnostics.
 
-    ``err_estimate`` is the magnitude of the first omitted term of
-    each truncated series (combined where several series are
-    truncated), the standard asymptotic-series error heuristic.
+    ``err_estimate`` adds the first omitted term of each truncated
+    series (a heuristic), the bounds of skipped terms and the rounding
+    of kept ones; the direct route gives its noise floor.  Never NaN.
     ``near_odd_warning`` flags non-integer exponents within 0.05 of an
     odd integer, where the generic expansion suffers pole cancellation
     and accuracy guarantees are void.
@@ -169,7 +169,7 @@ class Evaluation:
     def __post_init__(self):
         if not cmath.isfinite(complex(self.value)):
             raise DomainError("Evaluation value must be finite")
-        if self.err_estimate < 0.0:
+        if not self.err_estimate >= 0.0:  # NaN included
             raise DomainError("err_estimate must be non-negative")
         if min(self.terms_used.values(), default=0) < 0:
             raise DomainError("terms_used counts must be non-negative")

@@ -680,11 +680,11 @@ def test_dispatch_classical_matches_direct():
 def test_dispatch_classical_honours_n_max():
     spec = SumSpec(0.7, 0.0)
     ev = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3)
-    assert ev.terms_used == {"n": 3}
+    assert ev.terms_used == {"j": 0, "k": 1, "n": 3}
     root = math.sqrt(math.pi / 0.7)
     literal = 0.5 * root - 0.5 + root * math.fsum(math.exp(-math.pi**2 * n * n / 0.7) for n in (1, 2, 3))
     assert ev.value == pytest.approx(literal, rel=1e-15, abs=0.0)
-    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=None).terms_used == {"n": 1}
+    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=None).terms_used == {"j": 0, "k": 1, "n": 2}
     for bad in (0, 1.0, "auto"):
         with pytest.raises(DomainError):
             evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=bad)
@@ -696,7 +696,25 @@ def test_dispatch_classical_stops_at_an_underflowed_term():
     long = evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=200000)
     assert repr(long.value) == repr(evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=12).value)
     assert long.terms_used["n"] < 50
-    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3).terms_used == {"n": 3}
+    assert evaluate(spec, MethodChoice.CLASSICAL_PJ, n_max=3).terms_used == {"j": 0, "k": 1, "n": 3}
+
+
+def test_dispatch_classical_reports_its_method():
+    ev = evaluate(SumSpec(0.7 + 0.4j, 0.0), MethodChoice.CLASSICAL_PJ)
+    assert ev.method is MethodChoice.CLASSICAL_PJ
+
+
+@pytest.mark.parametrize("a", [1e-310, 5e-324])
+@pytest.mark.parametrize("w", [0.0, 2.0, 4.0])
+def test_subnormal_a_refuses_or_gives_a_finite_estimate(a, w):
+    # the parts overflow (a/pi underflows to 0 at m = 0), or a zero
+    # dual weight's bound would be 0 * inf
+    method = MethodChoice.CLASSICAL_PJ if w == 0.0 else MethodChoice.EVEN_TRANSFORM
+    try:
+        ev = evaluate(SumSpec(a, w), method)
+    except PrecisionError:
+        return
+    assert math.isfinite(ev.err_estimate)
 
 
 # ----------------------------------------------------------------------
@@ -938,14 +956,15 @@ def test_policy_validation():
 
 
 def test_evaluation_validation():
-    with pytest.raises(DomainError):
-        Evaluation(
-            value=complex("inf"),
-            method=MethodChoice.GENERIC,
-            terms_used={},
-            err_estimate=0.0,
-            term_log=TermLog(),
-        )
+    for value, err_estimate in ((complex("inf"), 0.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            Evaluation(
+                value=value,
+                method=MethodChoice.GENERIC,
+                terms_used={},
+                err_estimate=err_estimate,
+                term_log=TermLog(),
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Properties: the per-exponent memos never change a generic or even-route
-result, and the even route's skipped dual terms stay inside err_estimate."""
+result, the even route's skipped dual terms stay inside err_estimate, and
+the classical identity's error stays inside its err_estimate."""
 
 import cmath
+import math
 import sys
 
 import pytest
@@ -10,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from thetasum import SumSpec, direct_sum, eval_even, eval_generic  # noqa: E402
+from thetasum import MethodChoice, SumSpec, direct_sum, eval_even, eval_generic, evaluate  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -58,3 +60,17 @@ def test_even_route_with_skipped_dual_terms_is_within_its_estimate(modulus, arg,
     ref = direct_sum(spec)
     slack = ref.noise_floor() + 4 * sys.float_info.epsilon * abs(ev.value)
     assert abs(ev.value - ref.value) <= 10 * ev.err_estimate + slack
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_modulus=st.floats(math.log(1e-3), math.log(20.0)),
+    arg=st.floats(-1.55, 1.55),
+)
+def test_classical_identity_is_within_its_estimate(log_modulus, arg):
+    # at |a| >~ 4.7 the parts, of size about 1/2, cancel to S ~ exp(-a):
+    # the estimate must cover their rounding
+    spec = SumSpec(cmath.rect(math.exp(log_modulus), arg), 0.0)
+    ev = evaluate(spec, MethodChoice.CLASSICAL_PJ)
+    ref = direct_sum(spec)
+    assert abs(ev.value - ref.value) <= 10 * ev.err_estimate + ref.noise_floor()
