@@ -40,6 +40,7 @@ from .model import (
     Fixed,
     MethodChoice,
     SumSpec,
+    TermLog,
     TruncationPolicy,
 )
 from .oracle import OracleResult, direct_sum
@@ -103,7 +104,8 @@ def _g17(x: float) -> str:
 def _tail_j0(ev: Evaluation) -> dict[str, int]:
     """j0 of each tail-factor series, keyed by series name: the last
     included index, the least-term index under optimal truncation.
-    The log of a tail factor ends with its first omitted term."""
+    The log of a tail factor ends with its first omitted term; ``ev``
+    must come from a route that was passed a log."""
     j0 = {}
     for name, index, _ in ev.term_log.entries:
         if name.startswith("j["):
@@ -128,7 +130,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = SumSpec(_parse_complex(args.a), args.w)
     method = _resolve_method(args.method, spec.w)
     policy = _parse_policy(args.policy)
-    ev = evaluate(spec, method, policy, eps=args.eps)
+    ev = evaluate(spec, method, policy, eps=args.eps, log=TermLog())
     ref = None if method is MethodChoice.DIRECT else _oracle(spec, args.eps)
     print(f"method        {method.value}")
     print(f"value_re      {_g17(ev.value.real)}")
@@ -183,7 +185,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for row in rows:
         spec = SumSpec(row.a, 4.0)
         ref = direct_sum(spec)
-        ev = eval_even(spec, 2, OPTIMAL, n_max=1)
+        ev = eval_even(spec, 2, OPTIMAL, n_max=1, log=TermLog())
         err = abs(ev.value - ref.value)
         j0 = _tail_j0(ev)["j[n=1]"]
         flag = "ok" if row.reachable else "binary64-noise"
@@ -215,7 +217,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, eps: float) -> list[str]:
-    ev = evaluate(spec, method, policy, eps=eps)
+    ev = evaluate(spec, method, policy, eps=eps, log=TermLog())
     # a direct row is its own oracle
     ref = ev if method is MethodChoice.DIRECT else _oracle(spec, eps)
     used = ev.terms_used

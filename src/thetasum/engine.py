@@ -29,9 +29,13 @@ Every series collects its terms in a list and takes its value from
 apart, so each value is the correctly rounded sum of its terms, as the
 oracle's is; a sum that is not finite raises PrecisionError.  A plain
 binary64 running sum serves the stop tests only.
-Term magnitudes collect in a local list as well and reach the TermLog in
-one ``TermLog.extend`` per series; only the even route's dual terms are
-logged one by one, between the tail-factor series they decorate.
+A route logs term magnitudes only into a TermLog that its caller passes
+(the ``log`` keyword of evaluate, eval_generic, eval_even and
+tail_factor); without one it does no log work.  With one, the
+magnitudes of each series collect in a local list and reach the log in
+one ``TermLog.extend``; only the even route's dual terms are logged one
+by one, between the tail-factor series they decorate.  No value,
+estimate, count or refusal depends on whether a log is passed.
 The even route computes a dual term's tail factor only when the term
 can matter: under the default policy with the dual count chosen by the
 route, a term whose rigorous bound is below 1e-18 of the value adds 0
@@ -41,9 +45,10 @@ Everything is pure and thread safe.  The coefficients that depend on w
 alone are memoised per exponent, in fixed-size caches of
 _SINGULAR_MEMO exponents each (functools.lru_cache, thread safe): the
 singular term's Gamma or digamma constant, the even route's
-Gamma(1/2 - m), and the k-sum's row (-1)^k zeta(w - 2k), which grows on
-demand and is fetched once per call (``_ZetaRow``: zeta_real while
-w - 2k >= 0, the functional equation as a recurrence in k past that).
+Gamma(1/2 - m), and the k-sum's row (-1)^k zeta(w - 2k), which is
+fetched once per call and grows on demand, in a local copy published
+once per call (``_ZetaRow``: zeta_real while w - 2k >= 0, the
+functional equation as a recurrence in k past that).
 A value does not depend on what the caches hold.  Each series stops at
 a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
 a Fixed or ErrorTarget policy, or the dual sum with n_max.
@@ -163,7 +168,7 @@ def _require_positive_int(value: int, name: str) -> int:
 
 class _ZetaRow:
     """The k-sum coefficients row[k] = (-1)^k zeta(w - 2k) of one
-    exponent w, grown on demand by ``upto``.
+    exponent w, grown on demand.
 
     While w - 2k >= 0 an entry is zeta_real(w - 2k), so the even
     route's coefficients are those of zeta_real bit for bit.  From the
@@ -180,44 +185,64 @@ class _ZetaRow:
     never formed, so a large w does not overflow.  The k = m entry of
     an odd w, a pole that the k-sum skips, is 0.
 
-    ``entries`` is an immutable tuple replaced whole, under a lock, so
-    a reader needs no lock and no entry is appended twice.
+    ``entries`` is an immutable tuple, so a reader needs no lock.  A
+    grower copies ``tip``, the published entries with the g of the
+    last, appends entries to its copy by ``grow`` without the lock and
+    hands the copy to ``publish``, which replaces both under the lock
+    when the copy is longer.  Every grower computes the same values in
+    the same order, so whichever copy is published, an entry never
+    changes once it is there.
     """
 
-    __slots__ = ("w", "entries", "_skip", "_k0", "_g", "_lock")
+    __slots__ = ("w", "entries", "tip", "_skip", "_k0", "_lock")
 
     def __init__(self, w: float):
         kind, m = classify_exponent(w)
         self.w = w
         self.entries: tuple[float, ...] = ()
+        # g is 0.0 until the row is past k0
+        self.tip: tuple[tuple[float, ...], float] = ((), 0.0)
         self._skip = m if kind == ODD else None
         self._k0 = int(w // 2.0) + 1
-        self._g = 0.0  # g of the last entry, once it is past k0
         self._lock = threading.Lock()
+
+    def grow(self, row: list[float], g: float) -> float:
+        """Append entry len(row) to ``row``, a copy of the published
+        entries grown by this method alone, and return its g, given g
+        of the entry before."""
+        w, j = self.w, len(row)
+        if j == self._skip:
+            row.append(0.0)
+        elif j < self._k0:
+            z = zeta_real(w - 2.0 * j)
+            row.append(-z if j & 1 else z)
+        else:
+            if j == self._k0:
+                g = _sin_half_pi(w) * (2.0 * math.pi) ** (w - 2.0 * j) / math.pi
+                g *= gamma_real(2.0 * j + 1.0 - w)
+            else:
+                g *= (2.0 * j - 1.0 - w) * (2.0 * j - w) / (4.0 * _PI2)
+            row.append(g * _zeta_gt1(2.0 * j + 1.0 - w))
+        return g
+
+    def publish(self, row: list[float], g: float) -> tuple[float, ...]:
+        """Publish ``row`` and the g of its last entry if it is longer
+        than the published entries; return the published entries."""
+        with self._lock:
+            if len(row) > len(self.entries):
+                self.tip = (tuple(row), g)
+                self.entries = self.tip[0]
+            return self.entries
 
     def upto(self, k: int) -> tuple[float, ...]:
         """The row, holding at least the entries 0..k."""
         if k < len(self.entries):
             return self.entries
-        with self._lock:
-            w, k0, g = self.w, self._k0, self._g
-            row = list(self.entries)
-            for j in range(len(row), k + 1):
-                if j == self._skip:
-                    row.append(0.0)
-                elif j < k0:
-                    z = zeta_real(w - 2.0 * j)
-                    row.append(-z if j & 1 else z)
-                else:
-                    if j == k0:
-                        g = _sin_half_pi(w) * (2.0 * math.pi) ** (w - 2.0 * j) / math.pi
-                        g *= gamma_real(2.0 * j + 1.0 - w)
-                    else:
-                        g *= (2.0 * j - 1.0 - w) * (2.0 * j - w) / (4.0 * _PI2)
-                    row.append(g * _zeta_gt1(2.0 * j + 1.0 - w))
-            self._g = g
-            self.entries = tuple(row)
-            return self.entries
+        published, g = self.tip
+        row = list(published)
+        while len(row) <= k:
+            g = self.grow(row, g)
+        return self.publish(row, g)
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
@@ -226,10 +251,11 @@ def _zeta_row(w: float) -> _ZetaRow:
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
-def _singular_const(w: float) -> tuple[Optional[int], float]:
-    # (m, psi(m+1) / 2) for w = 2m+1 within tolerance, else
-    # (None, Gamma((1-w)/2) / 2); w > 0.  An even w is refused here, so
-    # it is classified once per exponent, not once per call.
+def _singular_const(w: float) -> tuple[Optional[int], float, bool]:
+    # (m, psi(m+1) / 2, False) for w = 2m+1 within tolerance, else
+    # (None, Gamma((1-w)/2) / 2, near_odd); w > 0.  An even w is
+    # refused here, so it is classified once per exponent, not once per
+    # call.
     kind, m = classify_exponent(w)
     if kind == EVEN:
         raise EvenExponentError(
@@ -239,8 +265,8 @@ def _singular_const(w: float) -> tuple[Optional[int], float]:
         if m > _FACTORIAL_MAX:
             # refused before digamma_int, whose exact sum takes O(m^2)
             raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
-        return m, 0.5 * digamma_int(m)
-    return None, 0.5 * gamma_real(0.5 - 0.5 * w)
+        return m, 0.5 * digamma_int(m), False
+    return None, 0.5 * gamma_real(0.5 - 0.5 * w), kind == NEAR_ODD
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +339,7 @@ def singular_term(spec: SumSpec) -> complex:
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"singular_term requires w > 0, got {w}")
-    m, c = _singular_const(w)
+    m, c, _ = _singular_const(w)
     if m is not None:
         return ((-a) ** m / math.factorial(m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + c)
     return c * a ** ((w - 1.0) / 2.0)
@@ -325,19 +351,23 @@ def _k_sum(
     m_skip: Optional[int],
     policy: TruncationPolicy,
     kept: list[complex],
-    log: TermLog,
+    log: Optional[TermLog],
 ) -> tuple[int, float]:
     # Appends the kept terms of sum'_k (-1)^k zeta(w - 2k) a^k / k!,
     # k = m_skip left out, to ``kept`` (which holds the singular term)
-    # and logs every computed term in one write.  Returns (terms added,
-    # magnitude of the first omitted term); when the least-term rule
-    # stops the sum, the least term is that first omitted term.
+    # and, with a ``log``, logs every computed term in one write.
+    # Returns (terms added, magnitude of the first omitted term); when
+    # the least-term rule stops the sum, the least term is that first
+    # omitted term.  Coefficients past the published row are grown in a
+    # local copy and published once, when the sum stops.
     cap, eps, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
     zrow = _zeta_row(w)
     row = zrow.entries
     n_row = len(row)
+    grown: Optional[list[float]] = None
+    g = 0.0
     running = sum(kept)
-    mags: list[float] = []
+    mags: Optional[list[float]] = None if log is None else []
     apow: complex = 1.0 + 0j  # a^k / k!
     held: Optional[complex] = None
     held_mag = 0.0
@@ -346,11 +376,16 @@ def _k_sum(
     while True:
         if k != m_skip:
             if k >= n_row:
-                row = zrow.upto(k)
-                n_row = len(row)
+                if grown is None:
+                    published, g = zrow.tip
+                    row = grown = list(published)
+                while len(grown) <= k:
+                    g = zrow.grow(grown, g)
+                n_row = len(grown)
             term = row[k] * apow
             mag = abs(term)
-            mags.append(mag)
+            if mags is not None:
+                mags.append(mag)
             if held is not None:
                 if least_rule and mag >= held_mag:
                     mag = held_mag
@@ -363,14 +398,19 @@ def _k_sum(
                 break
         k += 1
         apow *= a / k
-    if m_skip is None or m_skip > k:
-        log.extend("k", range(k + 1), mags)
-    else:
-        log.extend("k", [*range(m_skip), *range(m_skip + 1, k + 1)], mags)
+    if grown is not None:
+        zrow.publish(grown, g)
+    if mags is not None:
+        if m_skip is None or m_skip > k:
+            log.extend("k", range(k + 1), mags)
+        else:
+            log.extend("k", [*range(m_skip), *range(m_skip + 1, k + 1)], mags)
     return added, mag
 
 
-def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluation:
+def eval_generic(
+    spec: SumSpec, policy: TruncationPolicy = OPTIMAL, *, log: Optional[TermLog] = None
+) -> Evaluation:
     """Generic small-a expansion for w > 0 not an even integer.
 
     singular_term + sum'_k (-1)^k zeta(w - 2k) a^k / k!, the primed
@@ -395,13 +435,16 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
     unit of sum|t|, hence c = 8.  A later term carries 3u more per
     index, but it has shrunk by more than that: the term ratio is about
     k |a| / pi^2 where the expansion holds.
+
+    With a ``log``, every computed k-term, the first omitted one
+    included, is logged under the name ``k`` and ``term_log`` is that
+    log; without one ``term_log`` is a fresh empty TermLog.
     """
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"eval_generic requires w > 0, got {w}")
     # the k = m term of an odd w lives in the singular term
-    m_skip, _ = _singular_const(w)
-    log = TermLog()
+    m_skip, _, near_odd = _singular_const(w)
     try:
         kept = [singular_term(spec)]
         included, first_omitted = _k_sum(a, w, m_skip, policy, kept, log)
@@ -414,8 +457,8 @@ def eval_generic(spec: SumSpec, policy: TruncationPolicy = OPTIMAL) -> Evaluatio
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
         err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept)),
-        term_log=log,
-        near_odd_warning=classify_exponent(w)[0] == NEAR_ODD,
+        term_log=TermLog() if log is None else log,
+        near_odd_warning=near_odd,
     )
 
 
@@ -468,7 +511,7 @@ def tail_factor(
     mh = m + 0.5
     t: complex = 1.0 + 0j
     kept = [t]
-    mags = [1.0]
+    mags: Optional[list[float]] = None if log is None else [1.0]
     mag = 1.0
     j = 0
     # t_j is kept unless it meets the stop test, which ends the series
@@ -479,11 +522,12 @@ def tail_factor(
         t = t * ((m + j) * (mh + j) / (j + 1.0)) * x
         j += 1
         mag = abs(t)
-        mags.append(mag)
+        if mags is not None:
+            mags.append(mag)
         if (least_rule and mag >= held_mag) or j == cap or mag <= eps:
             break
         kept.append(t)
-    if log is not None:
+    if mags is not None:
         log.extend(f"j[n={n}]", range(j + 1), mags)
     return _complex_fsum(kept), j, mag
 
@@ -493,6 +537,8 @@ def eval_even(
     m: int,
     policy: TruncationPolicy = OPTIMAL,
     n_max: Optional[int] = None,
+    *,
+    log: Optional[TermLog] = None,
 ) -> Evaluation:
     """Poisson-Jacobi-type transformation for w = 2m.
 
@@ -548,6 +594,11 @@ def eval_even(
     multiplies the rounding of its argument by |pi^2 n^2 / a| while its
     modulus is not small.
 
+    With a ``log``, the m + 1 k-terms are logged under ``k``, each
+    dual term under ``n`` and each computed tail factor's series under
+    ``j[n=<n>]``, and ``term_log`` is that log; without one
+    ``term_log`` is a fresh empty TermLog.
+
     Raises PrecisionError when an intermediate overflows binary64
     (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
     refused before any term is made.
@@ -561,30 +612,27 @@ def eval_even(
         # unbounded time: 2^(2m) is past binary64, and the first omitted
         # dual term divides by at least that much
         raise PrecisionError(f"w = {w}: the even transformation divides by 2^{2 * m}, past binary64")
-    return _even_transform(a, m, policy, n_max)
+    return _even_transform(a, m, policy, n_max, log)
 
 
 def _even_transform(
-    a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int]
+    a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int], log: Optional[TermLog]
 ) -> Evaluation:
     # eval_even at m >= 1, the classical identity at m = 0
     try:
         # the algebraic part, the k-terms and the dual terms, in one sum
         parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
         row = _zeta_row(2.0 * m).upto(m)
-        mags: list[float] = []
         apow: complex = 1.0 + 0j  # a^k / k!
         k = 0
         while True:
-            term = row[k] * apow
-            parts.append(term)
-            mags.append(abs(term))
+            parts.append(row[k] * apow)
             if k == m:
                 break
             k += 1
             apow *= a / k
-        log = TermLog()
-        log.extend("k", range(m + 1), mags)
+        if log is not None:
+            log.extend("k", range(m + 1), [abs(t) for t in parts[1:]])
         running = sum(parts)
 
         pref = (a / math.pi) ** (2 * m - 0.5)
@@ -621,7 +669,8 @@ def _even_transform(
                 # the term adds 0 and its bound joins err_estimate
                 term, j_used, fo = 0j, 0, 0.0
                 skipped += bound
-            log.log("n", n, abs(term))
+            if log is not None:
+                log.log("n", n, abs(term))
             parts.append(term)
             running += term
             n_used = n
@@ -643,7 +692,7 @@ def _even_transform(
             method=MethodChoice.EVEN_TRANSFORM if m else MethodChoice.CLASSICAL_PJ,
             terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
             err_estimate=fo_tail_j + fo_tail_n + skipped + rounding,
-            term_log=log,
+            term_log=TermLog() if log is None else log,
         )
     except (OverflowError, ZeroDivisionError):
         # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0
@@ -661,6 +710,8 @@ def evaluate(
     policy: TruncationPolicy = OPTIMAL,
     n_max: Optional[int] = None,
     eps: float = 1e-16,
+    *,
+    log: Optional[TermLog] = None,
 ) -> Evaluation:
     """Evaluate the sum by the chosen route.
 
@@ -668,7 +719,9 @@ def evaluate(
     EVEN_TRANSFORM derives m from w and requires w = 2m within
     tolerance; CLASSICAL_PJ requires w = 0 and runs the same
     transformation at m = 0.  Both sum n_max dual terms, or choose the
-    count themselves when n_max is None.
+    count themselves when n_max is None.  A ``log`` is passed on to the
+    route, which logs its terms there (the direct route logs none);
+    ``term_log`` is that log, or a fresh empty TermLog without one.
     """
     if method is MethodChoice.DIRECT:
         res = direct_sum(spec, eps)
@@ -677,19 +730,19 @@ def evaluate(
             method=MethodChoice.DIRECT,
             terms_used={"n_direct": res.n_terms},
             err_estimate=res.noise_floor(),
-            term_log=TermLog(),
+            term_log=TermLog() if log is None else log,
         )
     if method is MethodChoice.GENERIC:
-        return eval_generic(spec, policy)
+        return eval_generic(spec, policy, log=log)
     if method is MethodChoice.EVEN_TRANSFORM:
         kind, m = classify_exponent(spec.w)
         if kind != EVEN:
             raise MismatchError(
                 f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}"
             )
-        return eval_even(spec, m, policy, n_max)
+        return eval_even(spec, m, policy, n_max, log=log)
     if method is MethodChoice.CLASSICAL_PJ:
         if abs(spec.w) > INTEGER_TOL:
             raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
-        return _even_transform(spec.a, 0, policy, n_max)
+        return _even_transform(spec.a, 0, policy, n_max, log)
     raise DomainError(f"unknown method {method!r}")

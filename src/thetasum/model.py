@@ -156,7 +156,9 @@ class Evaluation:
     of kept ones; the direct route gives its noise floor.  Never NaN.
     ``near_odd_warning`` flags non-integer exponents within 0.05 of an
     odd integer, where the generic expansion suffers pole cancellation
-    and accuracy guarantees are void.
+    and accuracy guarantees are void.  ``term_log`` is the TermLog the
+    caller passed to the route, holding the terms it computed, or a
+    fresh empty one when no log was passed.
     """
 
     value: complex

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -366,6 +365,9 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
     Raises PrecisionError when any measured remainder falls below 100x
     the oracle noise floor: the regression would fit rounding noise.
     """
+    # imported here, so that neither the routes nor the CLI load it
+    import statistics
+
     w = float(w)
     if not (math.isfinite(w) and w > 0.0):
         raise DomainError(f"remainder_slope requires a finite w > 0, got {w}")

@@ -147,7 +147,7 @@ def test_generic_err_estimate_is_least_logged_term():
     # magnitude in the log; the rest is the rounding term over the
     # singular term and the kept k-terms
     spec = SumSpec(0.05, 1.5)
-    ev = eval_generic(spec, OPTIMAL)
+    ev = eval_generic(spec, OPTIMAL, log=TermLog())
     mags = [m for _, m in ev.term_log.series("k")]
     kept = [abs(singular_term(spec)), *mags[: ev.terms_used["k"]]]
     rounding = engine._ROUNDING_C * sys.float_info.epsilon * sum(kept)
@@ -155,7 +155,7 @@ def test_generic_err_estimate_is_least_logged_term():
 
 
 def test_generic_fixed_policy_counts():
-    ev = eval_generic(SumSpec(0.05, 1.5), Fixed(3))
+    ev = eval_generic(SumSpec(0.05, 1.5), Fixed(3), log=TermLog())
     assert ev.terms_used["k"] == 3
     # the log contains the three included terms plus the first omitted
     assert len(ev.term_log.series("k")) == 4
@@ -177,7 +177,7 @@ def test_generic_error_target_policy():
 
 
 def test_generic_odd_w_skips_logged_index():
-    ev = eval_generic(SumSpec(0.05, 3.0), OPTIMAL)
+    ev = eval_generic(SumSpec(0.05, 3.0), OPTIMAL, log=TermLog())
     indices = [i for i, _ in ev.term_log.series("k")]
     assert 1 not in indices  # k = m = 1 lives in the singular term
     assert 0 in indices and 2 in indices
@@ -247,7 +247,7 @@ def test_even_specialization_fixtures(a, terms):
 
 def test_even_error_target_policy():
     spec = SumSpec(0.5, 4.0)
-    ev = eval_even(spec, 2, ErrorTarget(1e-3), n_max=1)
+    ev = eval_even(spec, 2, ErrorTarget(1e-3), n_max=1, log=TermLog())
     _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3))
     assert ev.terms_used["j"] == j_used
     assert ev.term_log.series("j[n=1]")[-1][1] == first_omitted <= 1e-3
@@ -295,7 +295,7 @@ def test_even_skips_dual_terms_whose_weight_underflows(monkeypatch, a, m):
     # below 1e-18 of the value, so no factor is computed either
     calls = _count_tail_factor_calls(monkeypatch)
     spec = SumSpec(a, 2.0 * m)
-    ev = eval_even(spec, m, OPTIMAL)
+    ev = eval_even(spec, m, OPTIMAL, log=TermLog())
     assert calls == []
     assert ev.terms_used["j"] == 0
     assert not any(name.startswith("j[n=") for name, _, _ in ev.term_log.entries)
@@ -574,7 +574,7 @@ def _reference_truncate(terms, policy, cap, kept, lead=None, rel_floor=0.0):
 
 def _reference_generic(spec, policy):
     a, w = spec.a, spec.w
-    m_skip, _ = engine._singular_const(w)
+    m_skip, _, _ = engine._singular_const(w)
     log = TermLog()
 
     def terms():
@@ -628,7 +628,7 @@ def test_series_loops_match_the_generator_reference_bit_for_bit():
         m, n = rng.randrange(1, 5), rng.randrange(1, 4)
         for policy in LOOP_POLICIES:
             if engine.classify_exponent(w)[0] != engine.EVEN:
-                ev = eval_generic(SumSpec(a, w), policy)
+                ev = eval_generic(SumSpec(a, w), policy, log=TermLog())
                 got = (ev.value, ev.terms_used, ev.err_estimate, ev.term_log.entries)
                 assert repr(got) == repr(_reference_generic(SumSpec(a, w), policy)), (a, w, policy)
             log = TermLog()
@@ -704,6 +704,75 @@ def test_dispatch_classical_reports_its_method():
     assert ev.method is MethodChoice.CLASSICAL_PJ
 
 
+# ----------------------------------------------------------------------
+# term logs on request
+# ----------------------------------------------------------------------
+
+G, E, P, D = MethodChoice.GENERIC, MethodChoice.EVEN_TRANSFORM, MethodChoice.CLASSICAL_PJ, MethodChoice.DIRECT
+
+# every route, with complex a, odd and near-odd w, dual terms whose
+# factor is computed, skipped or underflowed, and one refusal of each kind
+LOG_GRID = [
+    *((SumSpec(a, w), G) for a in (0.05, 0.3 + 0.2j, 2.0) for w in (0.5, 1.5, 3.0, 2.98)),
+    *((SumSpec(a, w), E) for a in (0.01, 0.25, 0.5 + 0.3j, 1.0, 2.0) for w in (2.0, 4.0, 6.0)),
+    *((SumSpec(a, 0.0), P) for a in (0.05, 0.7 + 0.4j, 3.0)),
+    *((SumSpec(a, w), D) for a, w in ((0.8, 2.5), (0.3 + 0.2j, 4.0), (1e-30, 1.5))),
+    (SumSpec(1.0, 4.0), G),  # EvenExponentError
+    (SumSpec(1.0, 1.5), E),  # MismatchError
+    (SumSpec(1e3, 700.5), G),  # PrecisionError: overflow
+    (SumSpec(0.1, 343.0), G),  # PrecisionError: m! past binary64
+    (SumSpec(0.5, 1100.0), E),  # PrecisionError: 2^(2m)
+    (SumSpec(100.0, 400.0), E),  # PrecisionError: overflow
+]
+LOG_POLICIES = [OPTIMAL, Fixed(3), ErrorTarget(1e-8)]
+
+
+def _log_grid_outcomes(log_factory):
+    # repr of (value, err_estimate, terms_used, warning, method) or of the refusal
+    # at each grid point, each policy and n_max in (None, 3)
+    out = []
+    for spec, method in LOG_GRID:
+        for policy in LOG_POLICIES:
+            for n_max in (None, 3):
+                try:
+                    ev = evaluate(spec, method, policy, n_max, log=log_factory())
+                    got = (ev.value, ev.err_estimate, ev.terms_used, ev.near_odd_warning, ev.method)
+                except Exception as exc:  # noqa: BLE001 - a refusal is an outcome
+                    got = (type(exc).__name__, str(exc))
+                out.append(repr((spec, method, policy, n_max, got)))
+    return out
+
+
+def test_no_log_means_no_log_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TermLog write on the path without a log")
+
+    monkeypatch.setattr(TermLog, "extend", refuse)
+    monkeypatch.setattr(TermLog, "log", refuse)
+    outcomes = _log_grid_outcomes(lambda: None)
+    assert not any("AssertionError" in line for line in outcomes)
+    # each refusal of the grid is among the outcomes
+    for name in ("EvenExponentError", "MismatchError", "PrecisionError", "ConvergenceError"):
+        assert any(name in line for line in outcomes), name
+    ev = eval_even(SumSpec(0.5, 4.0), 2)
+    assert isinstance(ev.term_log, TermLog) and ev.term_log.entries == []
+
+
+def test_a_log_changes_no_value_estimate_count_or_refusal():
+    logs = []
+
+    def fresh():
+        logs.append(TermLog())
+        return logs[-1]
+
+    assert _log_grid_outcomes(fresh) == _log_grid_outcomes(lambda: None)
+    # the logged runs wrote their terms, so the comparison is not vacuous
+    assert sum(bool(log.entries) for log in logs) > len(logs) // 2
+    assert any(name.startswith("j[n=") for log in logs for name, _, _ in log.entries)
+    log = TermLog()
+    assert eval_generic(SumSpec(0.05, 1.5), log=log).term_log is log
+
+
 @pytest.mark.parametrize("a", [1e-310, 5e-324])
 @pytest.mark.parametrize("w", [0.0, 2.0, 4.0])
 def test_subnormal_a_refuses_or_gives_a_finite_estimate(a, w):
@@ -759,10 +828,11 @@ MEMO_POLICIES = (OPTIMAL, Fixed(3), ErrorTarget(1e-8))
 
 
 def _route(spec, policy=OPTIMAL):
-    # the even transformation at w = 2m, the generic expansion elsewhere
+    # the even transformation at w = 2m, the generic expansion elsewhere,
+    # each with a log, so that repr(Evaluation) covers its entries
     if spec.w % 2.0 == 0.0:
-        return evaluate(spec, MethodChoice.EVEN_TRANSFORM, policy)
-    return eval_generic(spec, policy)
+        return evaluate(spec, MethodChoice.EVEN_TRANSFORM, policy, log=TermLog())
+    return eval_generic(spec, policy, log=TermLog())
 
 
 def _memo_grid():
@@ -802,7 +872,7 @@ def test_memo_misses_go_through_engine_names(monkeypatch, clear_memos):
     monkeypatch.setattr(engine, "zeta_real", counting_zeta)
     monkeypatch.setattr(engine, "gamma_real", counting_gamma)
     w = 1.25
-    first = eval_generic(SumSpec(0.1, w))
+    first = eval_generic(SumSpec(0.1, w), log=TermLog())
     # zeta_real makes the row entries with w - 2k >= 0, here k = 0; from
     # k0 = 1 on the row needs one Gamma(2 k0 + 1 - w), after the
     # singular term's Gamma((1 - w)/2)
@@ -866,7 +936,7 @@ def test_even_k_terms_are_zeta_real_bit_for_bit(m):
     # the even route's coefficients never come from the recurrence
     a = 0.3 + 0.2j
     row = engine._zeta_row(2.0 * m).upto(m)
-    logged = eval_even(SumSpec(a, 2.0 * m), m).term_log.series("k")
+    logged = eval_even(SumSpec(a, 2.0 * m), m, log=TermLog()).term_log.series("k")
     apow = 1.0 + 0j
     for k in range(m + 1):
         z = zeta_real(2.0 * m - 2.0 * k)
@@ -1016,14 +1086,15 @@ def test_public_surface():
 
 
 def test_import_leaves_the_checks_dependencies_out():
-    # statistics serves verify's remainder_slope only, not a route
-    probe = "import sys, thetasum; print('statistics' in sys.modules)"
+    # statistics serves verify's remainder_slope only, not a route or the CLI
     src = Path(engine.__file__).parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out == "False\n"
+    for module in ("thetasum", "thetasum.cli"):
+        probe = f"import sys, {module}; print('statistics' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "False\n", module

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from thetasum import MethodChoice, SumSpec, direct_sum, eval_even, eval_generic, evaluate  # noqa: E402
+from thetasum import MethodChoice, SumSpec, TermLog, direct_sum, eval_even, eval_generic, evaluate  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -25,8 +25,9 @@ def test_cold_and_warm_memo_give_identical_results(clear_memos, modulus, arg, w)
     assume(abs(w - 2.0 * round(w / 2.0)) > 1e-6)
     spec = SumSpec(cmath.rect(modulus, arg), w)
     clear_memos()
-    cold = repr(eval_generic(spec))
-    warm = repr(eval_generic(spec))
+    # with a log, so that repr(Evaluation) covers its entries
+    cold = repr(eval_generic(spec, log=TermLog()))
+    warm = repr(eval_generic(spec, log=TermLog()))
     assert warm == cold
 
 
@@ -39,8 +40,8 @@ def test_cold_and_warm_memo_give_identical_results(clear_memos, modulus, arg, w)
 def test_cold_and_warm_memo_give_identical_even_results(clear_memos, modulus, arg, m):
     spec = SumSpec(cmath.rect(modulus, arg), 2.0 * m)
     clear_memos()
-    cold = repr(eval_even(spec, m))
-    warm = repr(eval_even(spec, m))
+    cold = repr(eval_even(spec, m, log=TermLog()))
+    warm = repr(eval_even(spec, m, log=TermLog()))
     assert warm == cold
 
 
