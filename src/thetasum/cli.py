@@ -105,7 +105,8 @@ def _tail_j0(ev: Evaluation) -> dict[str, int]:
     """j0 of each tail-factor series, keyed by series name: the last
     included index, the least-term index under optimal truncation.
     The log of a tail factor ends with its first omitted term; ``ev``
-    must come from a route that was passed a log."""
+    must come from a route that was passed a log.  The n = 1 series
+    alone needs no log: its j0 is ``terms_used["j"] - 1``."""
     j0 = {}
     for name, index, _ in ev.term_log.entries:
         if name.startswith("j["):
@@ -185,9 +186,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for row in rows:
         spec = SumSpec(row.a, 4.0)
         ref = direct_sum(spec)
-        ev = eval_even(spec, 2, OPTIMAL, n_max=1, log=TermLog())
+        ev = eval_even(spec, 2, OPTIMAL, n_max=1)
         err = abs(ev.value - ref.value)
-        j0 = _tail_j0(ev)["j[n=1]"]
+        # the n = 1 tail factor's last included index; no log needed
+        j0 = ev.terms_used["j"] - 1
         flag = "ok" if row.reachable else "binary64-noise"
         print(
             f"{row.a:>6.2f}  {ref.value.real:>10.6f}  {ev.value.real:>12.6f}  "
@@ -217,7 +219,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, eps: float) -> list[str]:
-    ev = evaluate(spec, method, policy, eps=eps, log=TermLog())
+    ev = evaluate(spec, method, policy, eps=eps)
     # a direct row is its own oracle
     ref = ev if method is MethodChoice.DIRECT else _oracle(spec, eps)
     used = ev.terms_used
@@ -234,7 +236,8 @@ def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, ep
         terms_k,
         terms_j,
         terms_n,
-        str(_tail_j0(ev).get("j[n=1]", "")),
+        # j0 of the n = 1 tail factor; j is 0 (or absent) when none ran
+        str(used["j"] - 1) if used.get("j") else "",
     ]
 
 

@@ -185,21 +185,20 @@ class _ZetaRow:
     never formed, so a large w does not overflow.  The k = m entry of
     an odd w, a pole that the k-sum skips, is 0.
 
-    ``entries`` is an immutable tuple, so a reader needs no lock.  A
-    grower copies ``tip``, the published entries with the g of the
-    last, appends entries to its copy by ``grow`` without the lock and
-    hands the copy to ``publish``, which replaces both under the lock
-    when the copy is longer.  Every grower computes the same values in
-    the same order, so whichever copy is published, an entry never
-    changes once it is there.
+    ``tip`` holds the published entries, an immutable tuple, with the
+    g of the last, replaced whole, so a reader needs no lock.  A grower
+    copies the entries, appends to its copy by ``grow`` without the
+    lock and hands the copy to ``publish``, which replaces ``tip``
+    under the lock when the copy is longer.  Every grower computes the
+    same values in the same order, so whichever copy is published, an
+    entry never changes once it is there.
     """
 
-    __slots__ = ("w", "entries", "tip", "_skip", "_k0", "_lock")
+    __slots__ = ("w", "tip", "_skip", "_k0", "_lock")
 
     def __init__(self, w: float):
         kind, m = classify_exponent(w)
         self.w = w
-        self.entries: tuple[float, ...] = ()
         # g is 0.0 until the row is past k0
         self.tip: tuple[tuple[float, ...], float] = ((), 0.0)
         self._skip = m if kind == ODD else None
@@ -229,17 +228,20 @@ class _ZetaRow:
         """Publish ``row`` and the g of its last entry if it is longer
         than the published entries; return the published entries."""
         with self._lock:
-            if len(row) > len(self.entries):
+            if len(row) > len(self.tip[0]):
                 self.tip = (tuple(row), g)
-                self.entries = self.tip[0]
-            return self.entries
+            return self.tip[0]
+
+    @property
+    def entries(self) -> tuple[float, ...]:
+        return self.tip[0]
 
     def upto(self, k: int) -> tuple[float, ...]:
         """The row, holding at least the entries 0..k."""
-        if k < len(self.entries):
-            return self.entries
-        published, g = self.tip
-        row = list(published)
+        entries, g = self.tip
+        if k < len(entries):
+            return entries
+        row = list(entries)
         while len(row) <= k:
             g = self.grow(row, g)
         return self.publish(row, g)
@@ -362,10 +364,9 @@ def _k_sum(
     # local copy and published once, when the sum stops.
     cap, eps, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
     zrow = _zeta_row(w)
-    row = zrow.entries
+    row, g = zrow.tip
     n_row = len(row)
     grown: Optional[list[float]] = None
-    g = 0.0
     running = sum(kept)
     mags: Optional[list[float]] = None if log is None else []
     apow: complex = 1.0 + 0j  # a^k / k!
@@ -377,8 +378,7 @@ def _k_sum(
         if k != m_skip:
             if k >= n_row:
                 if grown is None:
-                    published, g = zrow.tip
-                    row = grown = list(published)
+                    row = grown = list(row)
                 while len(grown) <= k:
                     g = zrow.grow(grown, g)
                 n_row = len(grown)

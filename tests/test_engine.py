@@ -524,7 +524,7 @@ def test_truncate_start_value_survives_larger_terms(monkeypatch):
     # gives the terms big, -big and 5 + 5j.
     big = 1e16 - 1e16j
     row = (big, -big, 10.0 + 10.0j)
-    monkeypatch.setattr(engine, "_zeta_row", lambda w: SimpleNamespace(entries=row, upto=lambda k: row))
+    monkeypatch.setattr(engine, "_zeta_row", lambda w: SimpleNamespace(tip=(row, 0.0), upto=lambda k: row))
     kept = [1.0 - 1.0j]
     log = TermLog()
     added, last = engine._k_sum(1.0 + 0j, 1.5, None, Fixed(2), kept, log)
@@ -771,6 +771,25 @@ def test_a_log_changes_no_value_estimate_count_or_refusal():
     assert any(name.startswith("j[n=") for log in logs for name, _, _ in log.entries)
     log = TermLog()
     assert eval_generic(SumSpec(0.05, 1.5), log=log).term_log is log
+
+
+def test_j0_of_n1_is_terms_used_j_less_one():
+    # table1 and sweep read j0 of n = 1 from terms_used, eval from the log
+    from thetasum.cli import _tail_j0
+
+    seen = 0
+    for spec, method in LOG_GRID:
+        for policy in LOG_POLICIES:
+            for n_max in (None, 1, 3):
+                try:
+                    ev = evaluate(spec, method, policy, n_max, log=TermLog())
+                except Exception:  # noqa: BLE001 - refusals are covered above
+                    continue
+                j = ev.terms_used.get("j")
+                logged = _tail_j0(ev).get("j[n=1]")
+                assert logged == (j - 1 if j else None), (spec, method, policy, n_max)
+                seen += logged is not None
+    assert seen > 20
 
 
 @pytest.mark.parametrize("a", [1e-310, 5e-324])
