@@ -187,7 +187,7 @@ class _ZetaRow:
 
     ``tip`` holds the published entries, an immutable tuple, with the
     g of the last, replaced whole, so a reader needs no lock.  A grower
-    copies the entries, appends to its copy by ``grow`` without the
+    copies the entries, extends its copy by ``grow`` without the
     lock and hands the copy to ``publish``, which replaces ``tip``
     under the lock when the copy is longer.  Every grower computes the
     same values in the same order, so whichever copy is published, an
@@ -205,23 +205,24 @@ class _ZetaRow:
         self._k0 = int(w // 2.0) + 1
         self._lock = threading.Lock()
 
-    def grow(self, row: list[float], g: float) -> float:
-        """Append entry len(row) to ``row``, a copy of the published
-        entries grown by this method alone, and return its g, given g
-        of the entry before."""
-        w, j = self.w, len(row)
-        if j == self._skip:
-            row.append(0.0)
-        elif j < self._k0:
-            z = zeta_real(w - 2.0 * j)
-            row.append(-z if j & 1 else z)
-        else:
-            if j == self._k0:
-                g = _sin_half_pi(w) * (2.0 * math.pi) ** (w - 2.0 * j) / math.pi
-                g *= gamma_real(2.0 * j + 1.0 - w)
+    def grow(self, row: list[float], g: float, k: int) -> float:
+        """Append entries to ``row``, a copy of the published entries
+        grown by this method alone, until it holds 0..k, and return the
+        g of its last entry, given g of the last entry before."""
+        w = self.w
+        for j in range(len(row), k + 1):
+            if j == self._skip:
+                row.append(0.0)
+            elif j < self._k0:
+                z = zeta_real(w - 2.0 * j)
+                row.append(-z if j & 1 else z)
             else:
-                g *= (2.0 * j - 1.0 - w) * (2.0 * j - w) / (4.0 * _PI2)
-            row.append(g * _zeta_gt1(2.0 * j + 1.0 - w))
+                if j == self._k0:
+                    g = _sin_half_pi(w) * (2.0 * math.pi) ** (w - 2.0 * j) / math.pi
+                    g *= gamma_real(2.0 * j + 1.0 - w)
+                else:
+                    g *= (2.0 * j - 1.0 - w) * (2.0 * j - w) / (4.0 * _PI2)
+                row.append(g * _zeta_gt1(2.0 * j + 1.0 - w))
         return g
 
     def publish(self, row: list[float], g: float) -> tuple[float, ...]:
@@ -242,9 +243,7 @@ class _ZetaRow:
         if k < len(entries):
             return entries
         row = list(entries)
-        while len(row) <= k:
-            g = self.grow(row, g)
-        return self.publish(row, g)
+        return self.publish(row, self.grow(row, g, k))
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
@@ -379,9 +378,8 @@ def _k_sum(
             if k >= n_row:
                 if grown is None:
                     row = grown = list(row)
-                while len(grown) <= k:
-                    g = zrow.grow(grown, g)
-                n_row = len(grown)
+                g = zrow.grow(grown, g, k)
+                n_row = k + 1
             term = row[k] * apow
             mag = abs(term)
             if mags is not None:
