@@ -28,7 +28,13 @@ Every series collects its terms in a list and takes its value from
 ``_complex_fsum``, math.fsum over the real and the imaginary parts
 apart, so each value is the correctly rounded sum of its terms, as the
 oracle's is; a sum that is not finite raises PrecisionError.  A plain
-binary64 running sum serves the stop tests only.
+binary64 running sum serves the stop tests only.  For a real a
+(Im(a) == 0) the tail-factor series runs in floats: with every
+imaginary part a signed zero, each complex operation it makes rounds
+its real part as the float operation does, so the terms, the stop
+decisions and the value are those of the complex loop bit for bit, and
+the value's imaginary part is +0.0 (``tail_factor``; the oracle does
+the same).
 A route logs term magnitudes only into a TermLog that its caller passes
 (the ``log`` keyword of evaluate, eval_generic, eval_even and
 tail_factor); without one it does no log work.  With one, the
@@ -498,16 +504,29 @@ def tail_factor(
     first_omitted is the magnitude of the first omitted term.  With a
     ``log``, every computed term, the first omitted one included, is
     logged under the name ``j[n=<n>]``.
+
+    For Im(a) == 0 the loop runs on floats, x = -Re(a) / (pi^2 n^2)
+    and t_0 = 1.0, and gives the complex loop's results bit for bit:
+    there every imaginary part is a signed zero, so -a / (pi^2 n^2) is
+    Smith's division with ratio 0, a product's real part is the product
+    of the real parts less a zero, and abs is the real part's modulus.
+    The value's imaginary part is +0.0.  A non-finite a is refused:
+    the complex loop turns it into NaNs, the float loop would not.
     """
     a = complex(a)
-    if not a.real > 0.0:
-        raise DomainError(f"tail_factor requires Re(a) > 0, got a = {a}")
+    if not (a.real > 0.0 and cmath.isfinite(a)):
+        raise DomainError(f"tail_factor requires a finite a with Re(a) > 0, got a = {a}")
     _require_positive_int(m, "m")
     _require_positive_int(n, "n")
     cap, eps, least_rule, _ = _truncate(policy, _J_CAP)
-    x = -a / (_PI2 * n * n)
+    if a.imag == 0.0:
+        # the real axis, where the complex loop's imaginary parts are zeros
+        x: complex = -a.real / (_PI2 * n * n)
+        t: complex = 1.0
+    else:
+        x = -a / (_PI2 * n * n)
+        t = 1.0 + 0j
     mh = m + 0.5
-    t: complex = 1.0 + 0j
     kept = [t]
     mags: Optional[list[float]] = None if log is None else [1.0]
     mag = 1.0
@@ -574,9 +593,22 @@ def eval_even(
     factors wherever the weight is not 0.
 
     err_estimate adds four parts: the first omitted tail-factor term
-    at n = 1, the first omitted dual term, the bounds of the skipped
-    dual terms, and the rounding c eps max|part| with eps = 2^-52 and
-    c = 3m + 4.  math.fsum rounds the sum once, so the error is what
+    at n = 1, a bound on the omitted dual terms, the bounds of the
+    skipped dual terms, and the rounding c eps max|part| with
+    eps = 2^-52 and c = 3m + 4.
+
+    The omitted dual terms start at N = n_used + 1.  Undecorated, each
+    is at most the one before times exp(-pi^2 Re(1/a) (2N + 1)): the
+    weight ratio is exp(-pi^2 Re(1/a) (2n + 1)) and n^(-2m) falls.  So
+    their sum is at most the first of them divided by
+    1 - exp(-pi^2 Re(1/a) (2N + 1)), the argument of the oracle's tail
+    bound.  Where Re(1/a) is small (a near the imaginary axis, or huge)
+    the weights barely decay and the dual sum stops at its cap; that
+    divisor makes the estimate cover the terms past the cap, which the
+    first of them alone does not.  Where the divisor is 0 in binary64
+    the route refuses with PrecisionError.
+
+    The rounding: math.fsum rounds the sum once, so the error is what
     the parts bring in, and where they cancel the largest brings the
     most.  With u = eps/2, a k-term brings a few u.  The algebraic part
     and a dual term carry a^(m-1/2) or (a/pi)^(2m-1/2), which Python
@@ -683,6 +715,9 @@ def _even_transform(
         nn = n_used + 1
         expon = -_PI2 * nn * nn * re_inv
         fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
+        if fo_tail_n:
+            # the geometric bound on the undecorated dual tail (derived in eval_even)
+            fo_tail_n /= -math.expm1(-_PI2 * re_inv * (2 * nn + 1))
         # the rounding of the largest part, c = 3m + 4 (derived in eval_even)
         rounding = (3 * m + 4) * sys.float_info.epsilon * max(map(abs, parts))
         return Evaluation(
@@ -693,7 +728,8 @@ def _even_transform(
             term_log=TermLog() if log is None else log,
         )
     except (OverflowError, ZeroDivisionError):
-        # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0
+        # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0, or
+        # the dual tail's divisor once Re(1/a) rounds to 0
         raise PrecisionError(f"the transformation at a = {a}, w = {2 * m} overflows binary64") from None
 
 

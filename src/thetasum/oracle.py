@@ -6,7 +6,9 @@ rigorous geometric tail bound on the omitted terms (see _tail_bound
 for the inequality) is within the tolerance, found by galloping out
 from a closed-form estimate and bisecting.  The n terms are then summed
 with math.fsum, real and imaginary parts apart, in blocks of _BLOCK
-terms so that memory stays bounded.
+terms so that memory stays bounded.  For a real a (Im(a) == 0) the
+terms are made in floats, with math.exp, and are the complex terms bit
+for bit (see direct_sum); the value's imaginary part is +0.0.
 """
 
 from __future__ import annotations
@@ -142,6 +144,14 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     budget (Re(a) too small for direct summation at the requested
     tolerance); the cutoff is solved before any term is summed, so
     that error comes without the summing.
+
+    For Im(a) == 0 each term is math.exp(-Re(a) k^2) / k^w in floats.
+    That is the complex term cmath.exp(-a k^2) / k^w bit for bit: -a k^2
+    has the real part -Re(a) k^2 and a signed zero as its imaginary
+    part, cmath.exp(x + 0j) is exp(x) cos(0) = exp(x) with a signed
+    zero beside it, and dividing by the real k^w divides each part.
+    The imaginary parts, all zeros, sum to +0.0 after the leading +0.0,
+    so the value's imaginary part is +0.0 either way.
     """
     eps = float(eps)
     if not eps >= _EPS_FLOOR:
@@ -157,7 +167,8 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
             "convergence is too slow, use an expansion method"
         )
     n = _stop_index(re_a, w, eps)
-    neg_a = -a
+    # on the real axis a complex term's imaginary part is a signed zero
+    neg_a, exp = (-re_a, math.exp) if a.imag == 0.0 else (-a, cmath.exp)
     # real and imaginary parts still to be summed; the leading +0.0
     # keeps an all-zero part from summing to -0.0
     re_parts = [0.0]
@@ -166,7 +177,7 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     for start in range(1, n + 1, _BLOCK):
         stop = min(start + _BLOCK, n + 1)
         for k in range(start, stop):
-            term = cmath.exp(neg_a * (k * k)) / math.pow(k, w)
+            term = exp(neg_a * (k * k)) / math.pow(k, w)
             re_parts.append(term.real)
             im_parts.append(term.imag)
             # plain left-to-right binary64, as the rounding budget assumes

@@ -125,6 +125,17 @@ def test_eval_exponent_next_to_zero_matches_oracle(capsys):
     assert float(_report(out)["abs_error"]) <= 1e-13
 
 
+@pytest.mark.parametrize("a", ["1e200", "1e-12+1j"])
+def test_eval_w0_estimate_bounds_the_dual_tail_past_the_cap(capsys, a):
+    # Re(1/a) is tiny: the dual weights barely decay over the 50 terms
+    # summed, so only the geometric bound on the omitted ones covers them
+    rc, out, _ = run(capsys, "eval", "--a", a, "--w", "0")
+    assert rc == 0
+    report = _report(out)
+    assert "n=50" in report["terms"]
+    assert float(report["err_estimate"]) >= float(report["abs_error"]) > 0.1
+
+
 GRID_A = ("1e-3", "0.05", "0.5", "5", "1000", "0.5+0.8j")
 GRID_W = ("1e-300", "1e-15", "646", "648", "800", "1024", "1025", "1100.5", "1e5", "1e10")
 # The generic route leaves out the dual terms, about exp(-pi^2 Re(1/a)),

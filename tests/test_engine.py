@@ -267,6 +267,25 @@ def test_even_auto_n_keeps_neglected_terms_small():
     assert omitted <= ev.err_estimate
 
 
+def test_even_and_pj_estimates_bound_the_dual_tail_near_the_imaginary_axis():
+    # Re(1/a) is small, so the dual weights decay slowly and the dual
+    # sum stops at its cap: the terms past it add up to many times the
+    # first of them, and only their geometric bound covers the error
+    rng = random.Random(20261019)
+    for _ in range(60):
+        im = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+        a = complex(math.exp(rng.uniform(math.log(1e-4), math.log(0.1))), im)
+        for w in (0.0, 2.0, 4.0):
+            spec = SumSpec(a, w)
+            ev = evaluate(spec, MethodChoice.CLASSICAL_PJ if w == 0.0 else MethodChoice.EVEN_TRANSFORM)
+            ref = direct_sum(spec)
+            assert abs(ev.value - ref.value) <= ev.err_estimate + ref.noise_floor(), (a, w)
+    # Re(1/a) rounds to 0: the weights do not decay and no bound is finite
+    for w in (0.0, 4.0):
+        with pytest.raises(PrecisionError):
+            evaluate(SumSpec(5e-324 + 10j, w), MethodChoice.CLASSICAL_PJ if w == 0.0 else MethodChoice.EVEN_TRANSFORM)
+
+
 def _count_tail_factor_calls(monkeypatch):
     calls = []
 
@@ -492,6 +511,9 @@ def test_tail_factor_domain():
         tail_factor(-0.5, 2, 1)
     with pytest.raises(DomainError):
         tail_factor(0.5, 2, 0)
+    for a in (math.inf, complex(math.inf, -0.0), complex(1.0, math.nan), complex(1.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            tail_factor(a, 2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -635,6 +657,25 @@ def test_series_loops_match_the_generator_reference_bit_for_bit():
             value, j_used, first_omitted = tail_factor(a, m, n, policy, log=log)
             got = (value, j_used, first_omitted, log.entries)
             assert repr(got) == repr(_reference_tail(a, m, n, policy)), (a, m, n, policy)
+
+
+@pytest.mark.parametrize("policy", [OPTIMAL, Fixed(3), ErrorTarget(1e-3)], ids=repr)
+def test_tail_factor_on_the_real_axis_is_the_complex_loop_bit_for_bit(policy):
+    rng = random.Random(20261019)
+    cases = [(row.a, 2, n) for row in W4_ROWS for n in (1, 2, 3)]
+    for _ in range(150):
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        cases.append((x, rng.randrange(1, 9), rng.randrange(1, 4)))
+    for x, m, n in cases:
+        # complex arithmetic throughout, as tail_factor ran before the
+        # real axis had its float path
+        expected = repr(_reference_tail(complex(x), m, n, policy))
+        # a float, x + 0j and x - 0j
+        for a in (x, complex(x, 0.0), complex(x, -0.0)):
+            log = TermLog()
+            value, j_used, first_omitted = tail_factor(a, m, n, policy, log=log)
+            assert repr((value, j_used, first_omitted, log.entries)) == expected, (a, m, n)
+            assert math.copysign(1.0, value.imag) == 1.0
 
 
 # ----------------------------------------------------------------------

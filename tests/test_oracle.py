@@ -7,6 +7,7 @@ suite (test_cli runs it).
 import cmath
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -116,10 +117,12 @@ def test_stop_index_past_the_budget_raises(monkeypatch):
 
 def test_budget_error_comes_before_any_term(monkeypatch):
     # passes the a-priori reach check but needs ~1.1e7 terms
-    def no_terms(z):
+    def no_terms(*args):
         raise AssertionError("a term was made")
 
+    # every term, real or complex, divides by math.pow(k, w)
     monkeypatch.setattr(oracle, "cmath", SimpleNamespace(exp=no_terms))
+    monkeypatch.setattr(math, "pow", no_terms)
     with pytest.raises(ConvergenceError, match=f"exceeded {oracle.MAX_TERMS} terms at eps=1e-16"):
         direct_sum(SumSpec(4e-13, 0.0))
 
@@ -138,6 +141,50 @@ def test_block_size_does_not_move_the_value(monkeypatch, a):
     whole = direct_sum(SumSpec(a, 1.5))
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     assert direct_sum(SumSpec(a, 1.5)) == whole
+
+
+def _complex_direct_sum(spec, eps):
+    # direct_sum's loop with cmath.exp on every term, as it ran before
+    # the real axis had its float path
+    a, w = spec.a, spec.w
+    n = oracle._stop_index(a.real, w, eps)
+    re_parts, im_parts, abs_acc = [0.0], [0.0], 0.0
+    for start in range(1, n + 1, oracle._BLOCK):
+        stop = min(start + oracle._BLOCK, n + 1)
+        for k in range(start, stop):
+            term = cmath.exp(-a * (k * k)) / math.pow(k, w)
+            re_parts.append(term.real)
+            im_parts.append(term.imag)
+            abs_acc += abs(term)
+        if stop <= n:
+            re_parts = oracle._condense(re_parts)
+            im_parts = oracle._condense(im_parts)
+    return oracle.OracleResult(
+        value=complex(math.fsum(re_parts), math.fsum(im_parts)),
+        n_terms=n,
+        tail_bound=oracle._tail_bound(a.real, w, n),
+        rounding_bound=n * sys.float_info.epsilon * abs_acc,
+    )
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "block-7"])
+def test_real_a_is_the_complex_sum_bit_for_bit(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+    rng = random.Random(20261019)
+    blocks = 0
+    for i in range(80):
+        x = math.exp(rng.uniform(math.log(1e-4), math.log(20.0)))
+        w = (0.0, 4.0, rng.uniform(0.0, 12.0))[i % 3]
+        for eps in (1e-16, 1e-10):
+            for a in (complex(x, 0.0), complex(x, -0.0)):
+                spec = SumSpec(a, w)
+                res = direct_sum(spec, eps)
+                assert repr(res) == repr(_complex_direct_sum(spec, eps)), (a, w, eps)
+                assert math.copysign(1.0, res.value.imag) == 1.0
+                blocks += res.n_terms > oracle._BLOCK
+    # with the small block most sums carry across blocks
+    assert (blocks > 200) == (block is not None)
 
 
 def test_oracle_sound_against_mpmath():

@@ -1,0 +1,33 @@
+"""tools/repr_dump.py: the bit-identity dump runs and repeats itself."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from thetasum import engine
+
+ROOT = Path(__file__).parents[1]
+
+
+def _dump(points):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "repr_dump.py"), "--points", str(points)],
+        env={**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+def test_two_runs_print_the_same_lines():
+    first = _dump(1)
+    assert first == _dump(1)
+    lines = first.splitlines()
+    # the three specials and eight W4 rows follow the one seeded modulus
+    assert len(lines) > 3000
+    for kind in ("route direct", "route generic", "route even", "route pj", "tail_factor", "direct_sum"):
+        assert any(line.startswith(kind + " ") for line in lines), kind
+    # answers and refusals both appear
+    assert any(" log=" in line for line in lines)
+    assert any("| PrecisionError: " in line for line in lines)
