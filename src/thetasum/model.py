@@ -1,4 +1,10 @@
-"""Domain types: problem instances, truncation policies, evaluation records."""
+"""Domain types: problem instances, truncation policies, evaluation records.
+
+The frozen records are NamedTuples, so each equals the plain tuple of
+its fields; those that validate do it in a ``__new__``.  ``TermLog``
+and ``Evaluation`` are mutable ``__slots__`` classes.  None uses
+``dataclasses``, whose import would cost the CLI milliseconds.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import DomainError
 
@@ -25,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(NamedTuple("SumSpec", [("a", complex), ("w", float)])):
     """A problem instance: evaluate sum_{n>=1} exp(-a n^2) / n^w.
 
     The Gaussian parameter ``a`` may be complex but must satisfy
@@ -37,35 +41,34 @@ class SumSpec:
     require ``w > 0``.
     """
 
-    a: complex
-    w: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        a = complex(self.a)
-        w = float(self.w)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "w", w)
+    def __new__(cls, a: complex, w: float):
+        a = complex(a)
+        w = float(w)
         if not (cmath.isfinite(a) and math.isfinite(w)):
             raise DomainError("SumSpec requires finite a and w")
         if not a.real > 0.0:
             raise DomainError(f"SumSpec requires Re(a) > 0, got a = {a}")
         if w < 0.0:
             raise DomainError(f"SumSpec requires w >= 0, got w = {w}")
+        return tuple.__new__(cls, (a, w))
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(NamedTuple("Fixed", [("count", int)])):
     """Truncate after exactly ``count`` included terms."""
 
-    count: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if not (isinstance(self.count, int) and self.count >= 1):
+    def __new__(cls, count: int):
+        if not (isinstance(count, int) and count >= 1):
             raise DomainError("Fixed policy requires an integer count >= 1")
+        return tuple.__new__(cls, (count,))
 
 
-@dataclass(frozen=True)
-class OptimalFirstMin:
+class OptimalFirstMin(NamedTuple):
     """Truncate at the first local minimum of the term magnitudes.
 
     Ties break toward the smaller index, so the rule is deterministic.
@@ -73,20 +76,24 @@ class OptimalFirstMin:
     divergent asymptotic series.
     """
 
+    def __bool__(self) -> bool:
+        # an empty tuple is false; a policy, like every record, is true
+        return True
 
-@dataclass(frozen=True)
-class ErrorTarget:
+
+class ErrorTarget(NamedTuple("ErrorTarget", [("eps", float), ("cap", int)])):
     """Truncate once a term magnitude drops to ``eps``, never past the
     least term, and never past ``cap`` included terms."""
 
-    eps: float
-    cap: int = 2000
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if not self.eps > 0.0:
+    def __new__(cls, eps: float, cap: int = 2000):
+        if not eps > 0.0:
             raise DomainError("ErrorTarget requires eps > 0")
-        if not (isinstance(self.cap, int) and self.cap >= 1):
+        if not (isinstance(cap, int) and cap >= 1):
             raise DomainError("ErrorTarget requires an integer cap >= 1")
+        return tuple.__new__(cls, (eps, cap))
 
 
 TruncationPolicy = Union[Fixed, OptimalFirstMin, ErrorTarget]
@@ -104,8 +111,23 @@ class MethodChoice(enum.Enum):
     CLASSICAL_PJ = "pj"
 
 
-@dataclass
-class TermLog:
+class _Mutable:
+    # a mutable record: the repr shows each slot not named with a
+    # leading underscore, equality compares every slot, no hash
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = operator.attrgetter(*self.__slots__)
+        return key(self) == key(other)
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class TermLog(_Mutable):
     """Ordered record of term magnitudes, one sequence per series name.
 
     Indices must be strictly increasing within a series and magnitudes
@@ -115,8 +137,11 @@ class TermLog:
     locally and hands them over in one ``extend``.
     """
 
-    entries: list[tuple[str, int, float]] = field(default_factory=list)
-    _last: dict[str, int] = field(default_factory=dict, repr=False)
+    __slots__ = ("entries", "_last")
+
+    def __init__(self, entries: list | None = None, _last: dict | None = None):
+        self.entries = [] if entries is None else entries
+        self._last = {} if _last is None else _last
 
     def log(self, series: str, index: int, magnitude: float) -> None:
         self.extend(series, (index,), (magnitude,))
@@ -147,8 +172,7 @@ class TermLog:
         return [(i, m) for s, i, m in self.entries if s == name]
 
 
-@dataclass
-class Evaluation:
+class Evaluation(_Mutable):
     """A computed value with its method tag and truncation diagnostics.
 
     ``err_estimate`` adds the first omitted term of each truncated
@@ -161,17 +185,21 @@ class Evaluation:
     fresh empty one when no log was passed.
     """
 
-    value: complex
-    method: MethodChoice
-    terms_used: dict[str, int]
-    err_estimate: float
-    term_log: TermLog
-    near_odd_warning: bool = False
+    __slots__ = ("value", "method", "terms_used", "err_estimate", "term_log", "near_odd_warning")
 
-    def __post_init__(self):
-        if not cmath.isfinite(complex(self.value)):
+    def __init__(
+        self, value: complex, method: MethodChoice, terms_used: dict[str, int],
+        err_estimate: float, term_log: TermLog, near_odd_warning: bool = False,
+    ):
+        if not cmath.isfinite(complex(value)):
             raise DomainError("Evaluation value must be finite")
-        if not self.err_estimate >= 0.0:  # NaN included
+        if not err_estimate >= 0.0:  # NaN included
             raise DomainError("err_estimate must be non-negative")
-        if min(self.terms_used.values(), default=0) < 0:
+        if min(terms_used.values(), default=0) < 0:
             raise DomainError("terms_used counts must be non-negative")
+        self.value = value
+        self.method = method
+        self.terms_used = terms_used
+        self.err_estimate = err_estimate
+        self.term_log = term_log
+        self.near_odd_warning = near_odd_warning

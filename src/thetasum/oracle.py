@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .model import SumSpec
@@ -34,8 +34,7 @@ _MACHINE_EPS = sys.float_info.epsilon
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Direct-summation result with rigorous accuracy accounting.
 
     ``n_terms`` is the cutoff solved before summing: the smallest n

@@ -10,7 +10,7 @@ only be checked to agree within the oracle's certifiable resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ReferenceRow", "W4_ROWS", "BINARY64_NOISE_FLOOR"]
 
@@ -18,8 +18,7 @@ __all__ = ["ReferenceRow", "W4_ROWS", "BINARY64_NOISE_FLOOR"]
 BINARY64_NOISE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     a: float
     value: float  # S(a; 4), 6 decimals
     abs_err: float  # reported absolute error of the transformation

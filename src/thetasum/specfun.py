@@ -15,15 +15,15 @@ The tail factor's inverse-factorial coefficients are generated by
 their term ratio inside ``engine.tail_factor``.  All functions are
 pure; the precomputed coefficient tables are immutable module
 constants, so everything here is safe to call from any number of
-threads.
+threads.  The tables and ``digamma_int`` round exact integer ratios
+once, by int / int division, which is correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import DomainError, PoleError
 
@@ -154,7 +154,7 @@ def _log_gamma(x: float) -> float:
 def digamma_int(m: int) -> float:
     """psi(m+1) = -EULER_GAMMA + H_m for integer m >= 0.
 
-    The harmonic number is accumulated exactly as a rational and
+    The harmonic number is summed exactly over the denominator m! and
     rounded once, so the recurrence psi(m+1) - psi(m) = 1/m holds to
     within 1e-15.
     """
@@ -162,10 +162,8 @@ def digamma_int(m: int) -> float:
         raise DomainError("digamma_int requires an integer argument")
     if m < 0:
         raise DomainError(f"digamma_int requires m >= 0, got {m}")
-    harmonic = Fraction(0)
-    for r in range(1, m + 1):
-        harmonic += Fraction(1, r)
-    return float(harmonic) - EULER_GAMMA
+    denom = math.factorial(m)
+    return sum(denom // r for r in range(1, m + 1)) / denom - EULER_GAMMA
 
 
 # ----------------------------------------------------------------------
@@ -176,17 +174,13 @@ def digamma_int(m: int) -> float:
 def _alternating_zeta_weights(n: int) -> tuple[float, ...]:
     # Chebyshev-derived acceleration weights for the alternating
     # (eta-function) series; error decays like (3 + sqrt(8))^-n, so
-    # n = 50 leaves a margin of ~1e-38 over binary64.
-    d = []
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += Fraction(
-            math.factorial(n + i - 1) * 4**i,
-            math.factorial(n - i) * math.factorial(2 * i),
-        )
-        d.append(n * acc)
-    d_n = d[n]
-    return tuple(float(Fraction(d_n - d_k, d_n)) for d_k in d[:n])
+    # n = 50 leaves a margin of ~1e-38 over binary64.  The partial sums
+    # d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are scaled by
+    # (2n)!, which every (n-i)! (2i)! divides, so they are integers.
+    f = math.factorial
+    terms = (n * f(n + i - 1) * 4**i * (f(2 * n) // (f(n - i) * f(2 * i))) for i in range(n + 1))
+    d = list(accumulate(terms))
+    return tuple((d[n] - d_k) / d[n] for d_k in d[:n])
 
 
 _ETA_N = 50
@@ -216,8 +210,8 @@ _EM_HEAD = tuple(float(n) for n in range(1, int(_EM_N)))
 _EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
 # (B_2j/(2j)!, 2j - 1, 2j) from j = 7 down, for Horner's rule
 _EM_HORNER = tuple(
-    (float(Fraction(*_EM_BERNOULLI[j - 1]) / math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
-    for j in range(len(_EM_BERNOULLI), 0, -1)
+    (num / (den * math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
+    for j, (num, den) in reversed(tuple(enumerate(_EM_BERNOULLI, 1)))
 )
 
 

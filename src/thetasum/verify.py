@@ -10,8 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import (
     EVEN,
@@ -35,8 +34,7 @@ __all__ = ["CheckResult", "SUITE_NAMES", "remainder_slope", "run_suite"]
 _SEED = 987654321
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     measured: float
@@ -59,6 +57,8 @@ def _bernoulli_even(n_max: int) -> tuple[float, ...]:
     # beyond B_1 = -1/2), in exact rationals rounded once at the end.
     # Independent of zeta_real, so the zeta <-> Bernoulli identity is a
     # non-circular cross-check.
+    from fractions import Fraction  # here, so only a verify run pays for it
+
     table = [Fraction(1)]
     for m in range(1, n_max + 1):
         acc = Fraction(2 * m + 1) * Fraction(-1, 2)

@@ -1,8 +1,8 @@
 """CLI surface: reports, exit codes, CSV format, determinism."""
 
 import cmath
+import copy
 import csv
-import dataclasses
 import time
 
 import pytest
@@ -379,7 +379,11 @@ def _scaled(original, rel):
         out = original(x, *args, **kw)
         if isinstance(out, float):
             return out * (1.0 + rel(x))
-        return dataclasses.replace(out, value=out.value * (1.0 + rel(x)))
+        if isinstance(out, tuple):  # an OracleResult
+            return out._replace(value=out.value * (1.0 + rel(x)))
+        out = copy.copy(out)  # an Evaluation
+        out.value *= 1.0 + rel(x)
+        return out
 
     return mutant
 

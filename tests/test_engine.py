@@ -28,6 +28,8 @@ from thetasum import (
     Fixed,
     MethodChoice,
     MismatchError,
+    OptimalFirstMin,
+    OracleResult,
     PrecisionError,
     SumSpec,
     TermLog,
@@ -38,9 +40,15 @@ from thetasum import (
 )
 from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
-from thetasum.reference import W4_ROWS
+from thetasum.reference import W4_ROWS, ReferenceRow
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
-from thetasum.verify import _inv_factorial_coeff, _literal_quadratic, _literal_quartic, remainder_slope
+from thetasum.verify import (
+    CheckResult,
+    _inv_factorial_coeff,
+    _literal_quadratic,
+    _literal_quartic,
+    remainder_slope,
+)
 
 GRID = [0.0125, 0.025, 0.05, 0.1]
 
@@ -1085,6 +1093,22 @@ def test_policy_validation():
         ErrorTarget(1e-6, 0)
 
 
+def test_replace_validates_as_construction_does():
+    spec = SumSpec(0.1, 4.0)
+    assert spec._replace(w=2) == SumSpec(0.1, 2.0) and type(spec._replace(w=2).w) is float
+    assert Fixed(3)._replace(count=5) == Fixed(5)
+    assert ErrorTarget(1e-3)._replace(cap=7) == ErrorTarget(1e-3, 7)
+    for bad in (
+        lambda: spec._replace(a=-1.0),
+        lambda: spec._replace(w=math.inf),
+        lambda: Fixed(3)._replace(count=0),
+        lambda: ErrorTarget(1e-3)._replace(eps=0.0),
+        lambda: ErrorTarget(1e-3)._replace(cap=1.5),
+    ):
+        with pytest.raises(DomainError):
+            bad()
+
+
 def test_evaluation_validation():
     for value, err_estimate in ((complex("inf"), 0.0), (1.0, math.nan)):
         with pytest.raises(DomainError):
@@ -1095,6 +1119,119 @@ def test_evaluation_validation():
                 err_estimate=err_estimate,
                 term_log=TermLog(),
             )
+
+
+def _log3():
+    log = TermLog()
+    log.extend("j", range(3), [1.0, 0.5, 0.25])
+    return log
+
+
+# name -> (a factory of one record, its repr, a field it has (any name
+# for a record without fields), whether it is frozen).  The reprs are
+# those of the dataclasses the records were before they became
+# NamedTuples and __slots__ classes.
+RECORDS = {
+    "SumSpec": (lambda: SumSpec(0.5 - 0.25j, 1.5), "SumSpec(a=(0.5-0.25j), w=1.5)", "w", True),
+    "SumSpec-coerced": (lambda: SumSpec(0.1, 4), "SumSpec(a=(0.1+0j), w=4.0)", "a", True),
+    "Fixed": (lambda: Fixed(3), "Fixed(count=3)", "count", True),
+    "OptimalFirstMin": (OptimalFirstMin, "OptimalFirstMin()", "eps", True),
+    "ErrorTarget": (lambda: ErrorTarget(1e-12), "ErrorTarget(eps=1e-12, cap=2000)", "cap", True),
+    "ErrorTarget-cap": (lambda: ErrorTarget(1e-3, cap=40), "ErrorTarget(eps=0.001, cap=40)", "eps", True),
+    "OracleResult": (
+        lambda: OracleResult(value=(0.9 + 0j), n_terms=7, tail_bound=1e-17, rounding_bound=2e-16),
+        "OracleResult(value=(0.9+0j), n_terms=7, tail_bound=1e-17, rounding_bound=2e-16)",
+        "value",
+        True,
+    ),
+    "ReferenceRow": (
+        lambda: ReferenceRow(a=0.1, value=0.952696, abs_err=9.662e-86, j0=96),
+        "ReferenceRow(a=0.1, value=0.952696, abs_err=9.662e-86, j0=96)",
+        "j0",
+        True,
+    ),
+    "CheckResult": (
+        lambda: CheckResult("specfun", "gamma recurrence", 1.5e-15, "<= 1e-13", True),
+        "CheckResult(suite='specfun', name='gamma recurrence', measured=1.5e-15, "
+        "bound='<= 1e-13', passed=True)",
+        "passed",
+        True,
+    ),
+    "TermLog": (_log3, "TermLog(entries=[('j', 0, 1.0), ('j', 1, 0.5), ('j', 2, 0.25)])", "entries", False),
+    "TermLog-empty": (TermLog, "TermLog(entries=[])", "entries", False),
+    "Evaluation": (
+        lambda: Evaluation(1 + 2j, MethodChoice.GENERIC, {"k": 3, "j": 0}, 1e-9, _log3()),
+        "Evaluation(value=(1+2j), method=<MethodChoice.GENERIC: 'generic'>, "
+        "terms_used={'k': 3, 'j': 0}, err_estimate=1e-09, term_log=TermLog(entries=[('j', 0, 1.0), "
+        "('j', 1, 0.5), ('j', 2, 0.25)]), near_odd_warning=False)",
+        "err_estimate",
+        False,
+    ),
+    "Evaluation-warned": (
+        lambda: Evaluation(0.5, MethodChoice.EVEN_TRANSFORM, {"j": 2}, 0.0, TermLog(), True),
+        "Evaluation(value=0.5, method=<MethodChoice.EVEN_TRANSFORM: 'even'>, terms_used={'j': 2}, "
+        "err_estimate=0.0, term_log=TermLog(entries=[]), near_odd_warning=True)",
+        "err_estimate",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, text, field, frozen = RECORDS[name]
+    one, two = make(), make()
+    assert repr(one) == text
+    assert one == two and not one != two and one is not two
+    assert bool(one)
+    if frozen:
+        assert hash(one) == hash(two)
+        with pytest.raises(AttributeError):
+            setattr(one, field, 1)
+        with pytest.raises(AttributeError):
+            one.not_a_field = 1
+        assert repr(one) == text
+    else:
+        with pytest.raises(TypeError):
+            hash(one)
+        setattr(two, field, getattr(two, field))
+        assert one == two
+
+
+def test_records_of_other_types_or_values_differ():
+    assert SumSpec(0.1, 4.0) != SumSpec(0.1, 4.5)
+    assert Fixed(3) != Fixed(4) and Fixed(3) != ErrorTarget(1e-3)
+    assert OptimalFirstMin() != Fixed(1)
+    log = _log3()
+    log.log("k", 0, 1.0)
+    assert log != _log3()
+    a = Evaluation(1.0, MethodChoice.GENERIC, {"k": 1}, 0.0, TermLog())
+    assert a != Evaluation(1.0, MethodChoice.GENERIC, {"k": 1}, 0.0, TermLog(), True)
+    assert a != Evaluation(1.0, MethodChoice.GENERIC, {"k": 1}, 0.0, log)
+
+
+def test_evaluation_by_keyword():
+    log = _log3()
+    ev = Evaluation(
+        value=0.25 + 1j,
+        method=MethodChoice.CLASSICAL_PJ,
+        terms_used={"n": 4},
+        err_estimate=1e-16,
+        term_log=log,
+    )
+    assert (ev.value, ev.method, ev.terms_used, ev.err_estimate) == (
+        0.25 + 1j,
+        MethodChoice.CLASSICAL_PJ,
+        {"n": 4},
+        1e-16,
+    )
+    assert ev.term_log is log and ev.near_odd_warning is False
+    assert ev == Evaluation(0.25 + 1j, MethodChoice.CLASSICAL_PJ, {"n": 4}, 1e-16, _log3(), False)
+    ev.err_estimate = 2e-16
+    assert ev.err_estimate == 2e-16
+    # TermLog takes its lists by keyword too, and keeps the ones it is given
+    entries = [("k", 0, 1.0)]
+    assert TermLog(entries=entries).entries is entries
 
 
 # ----------------------------------------------------------------------
@@ -1158,3 +1295,20 @@ def test_import_leaves_the_checks_dependencies_out():
             check=True,
         ).stdout
         assert out == "False\n", module
+
+
+def test_cli_import_leaves_dataclasses_and_fractions_out():
+    # each costs the CLI milliseconds at start-up; -S keeps modules that
+    # site's .pth files import from hiding one
+    src = Path(engine.__file__).parents[1]
+    probe = "import sys; b = set(sys.modules); import thetasum.cli; print(*set(sys.modules) - b)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = set(out.split())
+    assert "thetasum.cli" in loaded
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & loaded

@@ -13,6 +13,8 @@ import pytest
 
 from thetasum import DomainError, PoleError
 from thetasum.specfun import (
+    _EM_BERNOULLI,
+    _EM_HORNER,
     _ETA_N,
     _ETA_W,
     _LN2,
@@ -131,6 +133,37 @@ def test_digamma_domain():
         digamma_int(-1)
     with pytest.raises(DomainError):
         digamma_int(1.5)
+
+
+def test_digamma_is_the_harmonic_number_rounded_once():
+    harmonic = Fraction(0)
+    for m in range(171):
+        harmonic += Fraction(1, m) if m else 0
+        assert digamma_int(m) == float(harmonic) - EULER_GAMMA, m
+
+
+# ----------------------------------------------------------------------
+# import-time tables
+# ----------------------------------------------------------------------
+
+
+def test_tables_are_the_exact_rationals_rounded_once():
+    # each table built again in Fractions: specfun's integer arithmetic
+    # must round the same rationals to the same floats
+    n = _ETA_N
+    d, acc = [], Fraction(0)
+    for i in range(n + 1):
+        acc += Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
+        d.append(n * acc)
+    assert _ETA_W == tuple(float(Fraction(d[n] - d_k, d[n])) for d_k in d[:n])
+    horner = tuple(
+        (float(Fraction(*_EM_BERNOULLI[j - 1]) / math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
+        for j in range(len(_EM_BERNOULLI), 0, -1)
+    )
+    assert _EM_HORNER == horner
+    # and the Bernoulli numbers behind the Euler-Maclaurin table are
+    # those of verify's independent recurrence
+    assert tuple(float(Fraction(*b)) for b in _EM_BERNOULLI) == _bernoulli_even(len(_EM_BERNOULLI))
 
 
 # ----------------------------------------------------------------------
