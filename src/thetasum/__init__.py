@@ -23,7 +23,6 @@ from .errors import (
 )
 from .model import (
     OPTIMAL,
-    ErrorTarget,
     Evaluation,
     Fixed,
     MethodChoice,
@@ -43,7 +42,6 @@ __all__ = [
     "Fixed",
     "OptimalFirstMin",
     "OPTIMAL",
-    "ErrorTarget",
     "TruncationPolicy",
     "MethodChoice",
     "TermLog",

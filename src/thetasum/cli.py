@@ -35,7 +35,6 @@ from .engine import EVEN, classify_exponent, eval_even, evaluate
 from .errors import ConvergenceError, DomainError, ThetaSumError
 from .model import (
     OPTIMAL,
-    ErrorTarget,
     Evaluation,
     Fixed,
     MethodChoice,
@@ -75,15 +74,7 @@ def _parse_policy(text: str) -> TruncationPolicy:
             return Fixed(int(t.split(":", 1)[1]))
         except ValueError as exc:
             raise DomainError(f"bad fixed policy {text!r} (use fixed:N)") from exc
-    if t.startswith("target:"):
-        parts = t.split(":", 2)[1:]
-        try:
-            eps = float(parts[0])
-            cap = int(parts[1]) if len(parts) > 1 else None
-        except ValueError as exc:
-            raise DomainError(f"bad target policy {text!r} (use target:EPS[:CAP])") from exc
-        return ErrorTarget(eps) if cap is None else ErrorTarget(eps, cap)
-    raise DomainError(f"unknown policy {text!r} (optimal | fixed:N | target:EPS[:CAP])")
+    raise DomainError(f"unknown policy {text!r} (optimal | fixed:N)")
 
 
 def _resolve_method(name: str, w: float) -> MethodChoice:
@@ -291,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=METHODS,
         help="evaluation route (auto: pj at w = 0, even at even integer w, else generic)",
     )
-    p_eval.add_argument("--policy", default="optimal", help="optimal | fixed:N | target:EPS[:CAP]")
+    p_eval.add_argument("--policy", default="optimal", help="optimal | fixed:N")
     p_eval.add_argument("--eps", default=1e-16, type=float, help="oracle tolerance")
     p_eval.set_defaults(func=_cmd_eval)
 

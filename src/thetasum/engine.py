@@ -57,7 +57,7 @@ once per call (``_ZetaRow``: zeta_real while w - 2k >= 0, the
 functional equation as a recurrence in k past that).
 A value does not depend on what the caches hold.  Each series stops at
 a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
-a Fixed or ErrorTarget policy, or the dual sum with n_max.
+a Fixed policy, or the dual sum with n_max.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .errors import (
 )
 from .model import (
     OPTIMAL,
-    ErrorTarget,
     Evaluation,
     Fixed,
     MethodChoice,
@@ -283,26 +282,23 @@ def _singular_const(w: float) -> tuple[Optional[int], float, bool]:
 
 def _truncate(
     policy: TruncationPolicy, cap: int, rel_floor: float = 0.0
-) -> tuple[int, float, bool, float]:
+) -> tuple[int, bool, float]:
     """Decode ``policy`` for a series of at most ``cap`` terms into
-    (cap, eps, least_rule, rel_floor), the stop test every series loop
+    (cap, least_rule, rel_floor), the stop test every series loop
     applies.
 
     Each loop holds a term back until the next one is computed.  If
     ``least_rule`` is set and the next is no smaller, the held term is
     the least term (first local minimum, ties toward the smaller index):
     the k-sum leaves it out and the tail factor keeps it.  The held term
-    is also left out once it is <= eps (ErrorTarget), below
-    rel_floor * |running sum|, or when ``cap`` terms are in.  Fixed has
-    no least-term or floor stop; its count and ErrorTarget's cap lower
-    ``cap``.  The running sum is plain binary64 and serves the floor
-    test only; the kept terms are summed by ``_complex_fsum``.
+    is also left out below rel_floor * |running sum|, or when ``cap``
+    terms are in.  Fixed has no least-term or floor stop; its count
+    lowers ``cap``.  The running sum is plain binary64 and serves the
+    floor test only; the kept terms are summed by ``_complex_fsum``.
     """
     if isinstance(policy, Fixed):
-        return min(policy.count, cap), -1.0, False, 0.0
-    if isinstance(policy, ErrorTarget):
-        return min(policy.cap, cap), policy.eps, True, rel_floor
-    return cap, -1.0, True, rel_floor
+        return min(policy.count, cap), False, 0.0
+    return cap, True, rel_floor
 
 
 _REAL = operator.attrgetter("real")
@@ -367,7 +363,7 @@ def _k_sum(
     # the least-term rule stops the sum, the least term is that first
     # omitted term.  Coefficients past the published row are grown in a
     # local copy and published once, when the sum stops.
-    cap, eps, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
+    cap, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
     zrow = _zeta_row(w)
     row, g = zrow.tip
     n_row = len(row)
@@ -398,7 +394,7 @@ def _k_sum(
                 running += held
                 added += 1
             held, held_mag = term, mag
-            if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
+            if added == cap or (rel_floor and mag < rel_floor * abs(running)):
                 break
         k += 1
         apow *= a / k
@@ -421,9 +417,9 @@ def eval_generic(
     sum omitting k = m when w = 2m+1.  Truncation under
     OptimalFirstMin stops just *before* the least term, so the
     truncation part of err_estimate is the least term itself; under
-    the other policies it is the first omitted term.  The scan also
-    stops once terms drop below 1e-18 of the accumulated value: past
-    that point further terms cannot change the result at binary64.
+    Fixed it is the first omitted term.  The scan also stops once terms
+    drop below 1e-18 of the accumulated value: past that point further
+    terms cannot change the result at binary64.
     Raises PrecisionError when a term or the sum overflows binary64
     (large w or |a|).
 
@@ -518,7 +514,7 @@ def tail_factor(
         raise DomainError(f"tail_factor requires a finite a with Re(a) > 0, got a = {a}")
     _require_positive_int(m, "m")
     _require_positive_int(n, "n")
-    cap, eps, least_rule, _ = _truncate(policy, _J_CAP)
+    cap, least_rule, _ = _truncate(policy, _J_CAP)
     if a.imag == 0.0:
         # the real axis, where the complex loop's imaginary parts are zeros
         x: complex = -a.real / (_PI2 * n * n)
@@ -541,7 +537,7 @@ def tail_factor(
         mag = abs(t)
         if mags is not None:
             mags.append(mag)
-        if (least_rule and mag >= held_mag) or j == cap or mag <= eps:
+        if (least_rule and mag >= held_mag) or j == cap:
             break
         kept.append(t)
     if mags is not None:
@@ -589,8 +585,8 @@ def eval_even(
     75.5 / n^2) or, under OptimalFirstMin with n_max=None only, when
     that bound is below 1e-18 of the value accumulated so far.  A
     skipped n logs no j-series, and at n = 1 the reported j count is 0.
-    Fixed and ErrorTarget, and any explicit n_max, keep the paper's
-    factors wherever the weight is not 0.
+    Fixed, and any explicit n_max, keep the paper's factors wherever
+    the weight is not 0.
 
     err_estimate adds four parts: the first omitted tail-factor term
     at n = 1, a bound on the omitted dual terms, the bounds of the

@@ -22,7 +22,6 @@ __all__ = [
     "Fixed",
     "OptimalFirstMin",
     "OPTIMAL",
-    "ErrorTarget",
     "TruncationPolicy",
     "MethodChoice",
     "TermLog",
@@ -63,7 +62,7 @@ class Fixed(NamedTuple("Fixed", [("count", int)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, count: int):
-        if not (isinstance(count, int) and count >= 1):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise DomainError("Fixed policy requires an integer count >= 1")
         return tuple.__new__(cls, (count,))
 
@@ -81,22 +80,7 @@ class OptimalFirstMin(NamedTuple):
         return True
 
 
-class ErrorTarget(NamedTuple("ErrorTarget", [("eps", float), ("cap", int)])):
-    """Truncate once a term magnitude drops to ``eps``, never past the
-    least term, and never past ``cap`` included terms."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-    def __new__(cls, eps: float, cap: int = 2000):
-        if not eps > 0.0:
-            raise DomainError("ErrorTarget requires eps > 0")
-        if not (isinstance(cap, int) and cap >= 1):
-            raise DomainError("ErrorTarget requires an integer cap >= 1")
-        return tuple.__new__(cls, (eps, cap))
-
-
-TruncationPolicy = Union[Fixed, OptimalFirstMin, ErrorTarget]
+TruncationPolicy = Union[Fixed, OptimalFirstMin]
 
 #: Shared default truncation policy.
 OPTIMAL = OptimalFirstMin()

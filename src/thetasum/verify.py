@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from typing import NamedTuple
 
 from .engine import (
@@ -97,6 +96,8 @@ def _gamma_recurrence_worst(seed: int) -> float:
     """Worst relative gap of Gamma(x + 1) = x Gamma(x) over 100 points
     x drawn uniformly from [-10, 10] by ``seed``, skipping x within 1e-3
     of a pole."""
+    import random  # here, so that the CLI does not load it
+
     rng = random.Random(seed)
     worst = 0.0
     count = 0
@@ -176,6 +177,8 @@ def _tail_bound_soundness(seed: int) -> tuple[float, bool]:
     tail bound, up to the rounding budget of the two summation paths.
     Returns the worst moved/allowance ratio over 50 specs drawn by
     ``seed`` and whether every spec stayed within its allowance."""
+    import random
+
     rng = random.Random(seed)
     eps_mach = 2.220446049250313e-16
     worst_ratio = 0.0

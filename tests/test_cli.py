@@ -79,13 +79,18 @@ def test_eval_bad_policy(capsys):
     assert "policy" in err
 
 
-def test_eval_target_policy_takes_at_most_a_cap(capsys):
-    rc, out, err = run(capsys, "eval", "--a", "0.5", "--w", "4", "--policy", "target:1e-3:5:junk")
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_retired_target_policy_is_refused(command, tmp_path, capsys):
+    target = tmp_path / "s.csv"
+    if command == "eval":
+        argv = ["eval", "--a", "0.5", "--w", "4"]
+    else:
+        argv = ["sweep", "--a", "0.5", "--w", "4", "--methods", "even", "--out", str(target)]
+    rc, out, err = run(capsys, *argv, "--policy", "target:1e-3")
     assert rc == 2
     assert out == ""
-    assert "bad target policy" in err
-    rc, _, _ = run(capsys, "eval", "--a", "0.5", "--w", "4", "--policy", "target:1e-3:5")
-    assert rc == 0
+    assert "optimal | fixed:N" in err
+    assert not target.exists()
 
 
 def test_eval_auto_routes_w0_to_pj(capsys):
@@ -346,7 +351,7 @@ def test_sweep_method_mismatch_is_precondition(capsys, tmp_path):
     assert "even" in err
 
 
-@pytest.mark.parametrize("policy", ["optimal", "fixed:3", "target:1e-3"])
+@pytest.mark.parametrize("policy", ["optimal", "fixed:3"])
 def test_eval_and_sweep_report_the_same_j0(policy, tmp_path, capsys):
     _, out, _ = run(capsys, "eval", "--a", "0.5", "--w", "4", "--method", "even", "--policy", policy)
     eval_j0 = next(int(line.split()[2]) for line in out.splitlines() if line.startswith("j0 j[n=1]"))

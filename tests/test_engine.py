@@ -22,7 +22,6 @@ import pytest
 from thetasum import (
     OPTIMAL,
     DomainError,
-    ErrorTarget,
     EvenExponentError,
     Evaluation,
     Fixed,
@@ -179,11 +178,6 @@ def test_generic_fixed_partial_sums_nest():
     assert t1 == pytest.approx(j + zeta_real(1.5) - zeta_real(-0.5) * 0.05, rel=1e-14)
 
 
-def test_generic_error_target_policy():
-    ev = eval_generic(SumSpec(0.05, 1.5), ErrorTarget(1e-8))
-    assert ev.err_estimate <= 1e-8
-
-
 def test_generic_odd_w_skips_logged_index():
     ev = eval_generic(SumSpec(0.05, 3.0), OPTIMAL, log=TermLog())
     indices = [i for i, _ in ev.term_log.series("k")]
@@ -253,18 +247,6 @@ def test_even_specialization_fixtures(a, terms):
     assert abs(e2.value - _literal_quartic(a, terms, 5)) / abs(e2.value) <= 1e-13
 
 
-def test_even_error_target_policy():
-    spec = SumSpec(0.5, 4.0)
-    ev = eval_even(spec, 2, ErrorTarget(1e-3), n_max=1, log=TermLog())
-    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3))
-    assert ev.terms_used["j"] == j_used
-    assert ev.term_log.series("j[n=1]")[-1][1] == first_omitted <= 1e-3
-    # the cap stop, and eps below the least term stops at the least term
-    assert eval_even(spec, 2, ErrorTarget(1e-30, 3), n_max=1).terms_used["j"] == 3
-    deep, opt = eval_even(spec, 2, ErrorTarget(1e-30)), eval_even(spec, 2, OPTIMAL)
-    assert (deep.value, deep.terms_used, deep.err_estimate) == (opt.value, opt.terms_used, opt.err_estimate)
-
-
 def test_even_auto_n_keeps_neglected_terms_small():
     ev = eval_even(SumSpec(2.0, 4.0), 2, OPTIMAL)
     n_used = ev.terms_used["n"]
@@ -331,7 +313,7 @@ def test_even_skips_dual_terms_whose_weight_underflows(monkeypatch, a, m):
     assert ev.err_estimate >= _skipped_bounds(a, m, ev.terms_used["n"]) * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("policy", [Fixed(3), ErrorTarget(1e-3)], ids=repr)
+@pytest.mark.parametrize("policy", [Fixed(3)], ids=repr)
 def test_even_skips_for_the_bound_only_under_the_optimal_policy(monkeypatch, policy):
     calls = _count_tail_factor_calls(monkeypatch)
     ev = eval_even(SumSpec(0.25, 4.0), 2, policy)
@@ -441,7 +423,7 @@ def test_tail_factor_least_term_windows():
     assert 15 <= j_used - 1 <= 19
 
 
-POLICIES = [OPTIMAL, Fixed(1), Fixed(4), ErrorTarget(1e-3), ErrorTarget(1e-30, 3), ErrorTarget(1.0), ErrorTarget(2.0)]
+POLICIES = [OPTIMAL, Fixed(1), Fixed(4)]
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=repr)
@@ -456,27 +438,8 @@ def test_tail_factor_keeps_leading_term(policy, a, m):
     # log ends with the first omitted one
     assert value == tail_factor(a, m, 1, Fixed(j_used))[0]
     assert logged[-1] == (j_used, first_omitted)
-    if isinstance(policy, ErrorTarget) and policy.eps >= 1.0:
+    if policy == Fixed(1):
         assert (value, j_used) == (1.0 + 0j, 1)
-
-
-def test_tail_factor_error_target_stops_at_eps():
-    log = TermLog()
-    _, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-3), log=log)
-    assert first_omitted <= 1e-3 < log.series("j[n=1]")[j_used - 1][1]
-    assert j_used < tail_factor(0.5, 2, 1, OPTIMAL)[1]
-
-
-def test_tail_factor_error_target_cap():
-    value, j_used, first_omitted = tail_factor(0.5, 2, 1, ErrorTarget(1e-30, 3))
-    assert j_used == 3 and first_omitted > 1e-30
-    assert value == tail_factor(0.5, 2, 1, Fixed(3))[0]
-
-
-def test_tail_factor_error_target_never_past_least_term():
-    # eps below the least term: the series stops at the least term
-    for a in (0.5, 1.0):
-        assert tail_factor(a, 2, 1, ErrorTarget(1e-30)) == tail_factor(a, 2, 1, OPTIMAL)
 
 
 def test_tail_factor_partial_sum_matches_coefficients():
@@ -583,11 +546,9 @@ def _reference_truncate(terms, policy, cap, kept, lead=None, rel_floor=0.0):
     # one (term, magnitude) pair per step from a generator into one
     # truncation function: the form the engine's plain loops replaced,
     # kept here as their reference
-    eps, least_rule = -1.0, True
+    least_rule = True
     if isinstance(policy, Fixed):
         cap, least_rule, rel_floor = min(policy.count, cap), False, 0.0
-    elif isinstance(policy, ErrorTarget):
-        cap, eps = min(policy.cap, cap), policy.eps
     added, running, held = 0, sum(kept), lead
     held_mag = 0.0 if lead is None else abs(lead)
     for term, mag in terms:
@@ -598,7 +559,7 @@ def _reference_truncate(terms, policy, cap, kept, lead=None, rel_floor=0.0):
             running += held
             added += 1
         held, held_mag = term, mag
-        if added == cap or mag <= eps or (rel_floor and mag < rel_floor * abs(running)):
+        if added == cap or (rel_floor and mag < rel_floor * abs(running)):
             return added, None, mag
 
 
@@ -644,7 +605,7 @@ def _reference_tail(a, m, n, policy):
     return engine._complex_fsum(kept), added, first_omitted, log.entries
 
 
-LOOP_POLICIES = [OPTIMAL, Fixed(1), Fixed(3), Fixed(8), ErrorTarget(1e-8), ErrorTarget(1e-12, 5), ErrorTarget(1.0)]
+LOOP_POLICIES = [OPTIMAL, Fixed(1), Fixed(3), Fixed(8)]
 
 
 def test_series_loops_match_the_generator_reference_bit_for_bit():
@@ -667,7 +628,7 @@ def test_series_loops_match_the_generator_reference_bit_for_bit():
             assert repr(got) == repr(_reference_tail(a, m, n, policy)), (a, m, n, policy)
 
 
-@pytest.mark.parametrize("policy", [OPTIMAL, Fixed(3), ErrorTarget(1e-3)], ids=repr)
+@pytest.mark.parametrize("policy", [OPTIMAL, Fixed(3)], ids=repr)
 def test_tail_factor_on_the_real_axis_is_the_complex_loop_bit_for_bit(policy):
     rng = random.Random(20261019)
     cases = [(row.a, 2, n) for row in W4_ROWS for n in (1, 2, 3)]
@@ -773,7 +734,7 @@ LOG_GRID = [
     (SumSpec(0.5, 1100.0), E),  # PrecisionError: 2^(2m)
     (SumSpec(100.0, 400.0), E),  # PrecisionError: overflow
 ]
-LOG_POLICIES = [OPTIMAL, Fixed(3), ErrorTarget(1e-8)]
+LOG_POLICIES = [OPTIMAL, Fixed(3)]
 
 
 def _log_grid_outcomes(log_factory):
@@ -892,7 +853,7 @@ def test_remainder_slope_refuses_non_finite_w(w):
 
 MEMO_W = (0.3, 1.5, 2.98, 3.0, 3.03, 4.0, 5.25, 6.0, 7.0)
 MEMO_A = [cmath.rect(r, t) for r in (0.003, 0.03, 0.3, 1.0) for t in (0.0, 0.7, -1.2)]
-MEMO_POLICIES = (OPTIMAL, Fixed(3), ErrorTarget(1e-8))
+MEMO_POLICIES = (OPTIMAL, Fixed(3))
 
 
 def _route(spec, policy=OPTIMAL):
@@ -1085,25 +1046,20 @@ def test_term_log_one_write_equals_per_term_logs():
 
 
 def test_policy_validation():
-    with pytest.raises(DomainError):
-        Fixed(0)
-    with pytest.raises(DomainError):
-        ErrorTarget(0.0)
-    with pytest.raises(DomainError):
-        ErrorTarget(1e-6, 0)
+    # a bool is an int, but not a count, as engine._require_positive_int has it
+    for bad in (0, -1, 1.0, True, False):
+        with pytest.raises(DomainError):
+            Fixed(bad)
 
 
 def test_replace_validates_as_construction_does():
     spec = SumSpec(0.1, 4.0)
     assert spec._replace(w=2) == SumSpec(0.1, 2.0) and type(spec._replace(w=2).w) is float
     assert Fixed(3)._replace(count=5) == Fixed(5)
-    assert ErrorTarget(1e-3)._replace(cap=7) == ErrorTarget(1e-3, 7)
     for bad in (
         lambda: spec._replace(a=-1.0),
         lambda: spec._replace(w=math.inf),
         lambda: Fixed(3)._replace(count=0),
-        lambda: ErrorTarget(1e-3)._replace(eps=0.0),
-        lambda: ErrorTarget(1e-3)._replace(cap=1.5),
     ):
         with pytest.raises(DomainError):
             bad()
@@ -1136,8 +1092,6 @@ RECORDS = {
     "SumSpec-coerced": (lambda: SumSpec(0.1, 4), "SumSpec(a=(0.1+0j), w=4.0)", "a", True),
     "Fixed": (lambda: Fixed(3), "Fixed(count=3)", "count", True),
     "OptimalFirstMin": (OptimalFirstMin, "OptimalFirstMin()", "eps", True),
-    "ErrorTarget": (lambda: ErrorTarget(1e-12), "ErrorTarget(eps=1e-12, cap=2000)", "cap", True),
-    "ErrorTarget-cap": (lambda: ErrorTarget(1e-3, cap=40), "ErrorTarget(eps=0.001, cap=40)", "eps", True),
     "OracleResult": (
         lambda: OracleResult(value=(0.9 + 0j), n_terms=7, tail_bound=1e-17, rounding_bound=2e-16),
         "OracleResult(value=(0.9+0j), n_terms=7, tail_bound=1e-17, rounding_bound=2e-16)",
@@ -1200,7 +1154,7 @@ def test_record_contract(name):
 
 def test_records_of_other_types_or_values_differ():
     assert SumSpec(0.1, 4.0) != SumSpec(0.1, 4.5)
-    assert Fixed(3) != Fixed(4) and Fixed(3) != ErrorTarget(1e-3)
+    assert Fixed(3) != Fixed(4)
     assert OptimalFirstMin() != Fixed(1)
     log = _log3()
     log.log("k", 0, 1.0)
@@ -1248,7 +1202,6 @@ def test_public_surface():
         "Fixed",
         "OptimalFirstMin",
         "OPTIMAL",
-        "ErrorTarget",
         "TruncationPolicy",
         "MethodChoice",
         "TermLog",
@@ -1278,6 +1231,7 @@ def test_public_surface():
         "tail_factor",
         "classical_pj_rhs",
         "remainder_slope",
+        "ErrorTarget",
     )
     assert not any(hasattr(thetasum, name) for name in removed)
 
@@ -1311,4 +1265,4 @@ def test_cli_import_leaves_dataclasses_and_fractions_out():
     ).stdout
     loaded = set(out.split())
     assert "thetasum.cli" in loaded
-    assert not {"dataclasses", "inspect", "fractions", "decimal"} & loaded
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "random"} & loaded

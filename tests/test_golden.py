@@ -25,15 +25,13 @@ TABLE1_CSV = "table1.csv"
 VERIFY = "verify_all.txt"
 
 # name -> sweep arguments; together they cover all four methods and
-# "auto" (at a non-integer and at an even w), all three policies and
+# "auto" (at a non-integer and at an even w), both policies and
 # complex a
 SWEEPS = {
     "sweep_even_optimal.csv": ["--a", "0.1,0.25,0.5,1.0,2.0,0.5+0.3j", "--w", "4", "--methods", "even,direct"],
     "sweep_even_fixed.csv": ["--a", "0.25,0.5,1.0,0.5-0.4j", "--w", "4", "--methods", "even", "--policy", "fixed:3"],
-    "sweep_even_target.csv": ["--a", "0.3,0.5,1.0,0.4+0.2j", "--w", "6", "--methods", "even", "--policy", "target:1e-3"],
     "sweep_generic_optimal.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "1.5", "--methods", "generic,direct"],
     "sweep_generic_fixed.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "3", "--methods", "generic", "--policy", "fixed:4"],
-    "sweep_generic_target.csv": ["--a", "0.01,0.05,0.1,0.05+0.02j", "--w", "2.5", "--methods", "generic", "--policy", "target:1e-8:6"],
     "sweep_pj.csv": ["--a", "0.5,1.0,2.0,0.7+0.4j", "--w", "0", "--methods", "pj,direct"],
     "sweep_auto_generic.csv": ["--a", "0.02,0.1,0.05+0.03j", "--w", "1.5", "--methods", "auto,direct"],
     "sweep_auto_even.csv": ["--a", "0.25,1.0,0.6-0.2j", "--w", "4", "--methods", "auto,direct"],

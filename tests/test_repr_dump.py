@@ -25,7 +25,7 @@ def test_two_runs_print_the_same_lines():
     assert first == _dump(1)
     lines = first.splitlines()
     # the three specials and eight W4 rows follow the one seeded modulus
-    assert len(lines) > 3000
+    assert len(lines) > 2000
     for kind in ("route direct", "route generic", "route even", "route pj", "tail_factor", "direct_sum"):
         assert any(line.startswith(kind + " ") for line in lines), kind
     # answers and refusals both appear

@@ -10,9 +10,9 @@ A line holds the repr of everything a case returns, or the type and
 message of its refusal.  The grid:
 
 * every route (direct, generic, even, pj) at every (a, w) of the grid,
-  under OPTIMAL, Fixed(3), Fixed(8), ErrorTarget(1e-3) and
-  ErrorTarget(1e-30, 40), with n_max None, 1 and 3 (the direct route
-  ignores policy and n_max and runs once), each with a TermLog;
+  under OPTIMAL, Fixed(3) and Fixed(8), with n_max None, 1 and 3 (the
+  direct route ignores policy and n_max and runs once), each with a
+  TermLog;
 * ``tail_factor(a, m, n, policy)`` with its log, m in 1, 2, 4, 8 and
   n in 1, 2, 3, under the same policies;
 * ``direct_sum`` at eps 1e-16 and 1e-10, with ``value.imag``.
@@ -24,7 +24,7 @@ and a BLAKE2b digest of the repr of its entries, which keeps a line
 short while any moved magnitude still changes it.
 
 ``--points N`` takes the first N moduli of the seeded grid (default
-125, about 101k lines); the grid does not depend on N otherwise.
+125, about 68k lines); the grid does not depend on N otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import sys
 
 from thetasum import (
     OPTIMAL,
-    ErrorTarget,
     Fixed,
     MethodChoice,
     SumSpec,
@@ -49,7 +48,7 @@ from thetasum import (
 from thetasum.engine import tail_factor
 from thetasum.reference import W4_ROWS
 
-POLICIES = (OPTIMAL, Fixed(3), Fixed(8), ErrorTarget(1e-3), ErrorTarget(1e-30, 40))
+POLICIES = (OPTIMAL, Fixed(3), Fixed(8))
 N_MAXES = (None, 1, 3)
 #: The exponents each route takes: w = 0 for pj, w = 2m for even, and
 #: non-integer, odd and near-odd w for generic; direct takes them all.
