@@ -32,7 +32,7 @@ import time
 from typing import Optional
 
 from .engine import EVEN, classify_exponent, eval_even, evaluate
-from .errors import ConvergenceError, DomainError, ThetaSumError
+from .errors import ConvergenceError, DomainError, PrecisionError, ThetaSumError
 from .model import (
     OPTIMAL,
     Evaluation,
@@ -106,10 +106,11 @@ def _tail_j0(ev: Evaluation) -> dict[str, int]:
 
 
 def _oracle(spec: SumSpec, eps: float) -> Optional[OracleResult]:
-    """The direct sum, or None where it is infeasible at ``eps``."""
+    """The direct sum, or None where direct_sum refuses it at ``eps``:
+    too many terms, or a term's n^w past binary64."""
     try:
         return direct_sum(spec, eps)
-    except ConvergenceError:
+    except (ConvergenceError, PrecisionError):
         return None
 
 
@@ -141,7 +142,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"oracle_noise  {ref.noise_floor():.6e}")
         print(f"abs_error     {abs(ev.value - ref.value):.6e}")
     elif method is not MethodChoice.DIRECT:
-        print("oracle        infeasible (direct summation too slow at this eps)")
+        print("oracle        infeasible (direct summation refused at this eps)")
     return 0
 
 

@@ -47,15 +47,16 @@ can matter: under the default policy with the dual count chosen by the
 route, a term whose rigorous bound is below 1e-18 of the value adds 0
 and joins err_estimate by that bound (``eval_even``).
 
-Everything is pure and thread safe.  The coefficients that depend on w
-alone are memoised per exponent, in fixed-size caches of
-_SINGULAR_MEMO exponents each (functools.lru_cache, thread safe): the
-singular term's Gamma or digamma constant, the even route's
-Gamma(1/2 - m), and the k-sum's row (-1)^k zeta(w - 2k), which is
-fetched once per call and grows on demand, in a local copy published
-once per call (``_ZetaRow``: zeta_real while w - 2k >= 0, the
-functional equation as a recurrence in k past that).
-A value does not depend on what the caches hold.  Each series stops at
+Everything is pure and thread safe.  What depends on w alone is made
+once per exponent, into one ``_Exponent`` record, memoised in one
+fixed-size cache of _SINGULAR_MEMO exponents (``_exponent``,
+functools.lru_cache, thread safe): w's class and m, classified once;
+the head constant, the singular term's Gamma or digamma constant or
+the even route's Gamma(1/2 - m); and the k-sum's row
+(-1)^k zeta(w - 2k), which grows on demand, in a local copy published
+once per call (zeta_real while w - 2k >= 0, the functional equation as
+a recurrence in k past that).
+A value does not depend on what the cache holds.  Each series stops at
 a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
 a Fixed policy, or the dual sum with n_max.
 """
@@ -125,8 +126,7 @@ _ROUNDING_C = 8.0
 # The largest m whose m! is finite in binary64.
 _FACTORIAL_MAX = 170
 
-# Exponents held by each per-exponent memo: the k-sum coefficient row,
-# the singular-term constant and Gamma(1/2 - m).
+# Exponents held by the per-exponent memo, ``_exponent``.
 _SINGULAR_MEMO = 256
 
 
@@ -163,18 +163,27 @@ def _require_positive_int(value: int, name: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# per-exponent coefficients, memoised
+# per-exponent record, memoised
 # ----------------------------------------------------------------------
 
-# Every coefficient below depends on w alone.  On a miss each memo calls
-# the module-global specfun name, so a caller that rebinds that name
-# sees every call that runs.
 
+class _Exponent:
+    """What the routes need of one exponent w alone.
 
-class _ZetaRow:
-    """The k-sum coefficients row[k] = (-1)^k zeta(w - 2k) of one
-    exponent w, grown on demand.
+    ``kind`` and ``m`` come from ``classify_exponent``; ``skip`` is the
+    k that the k-sum leaves out, m for an odd w and None otherwise.
+    ``const`` is the head constant: psi(m+1)/2 for an odd w (past
+    m = 170 the record is refused with PrecisionError, before
+    digamma_int's exact O(m^2) sum runs); Gamma(1/2 - m)/2 for w = 2m,
+    w = 0 included, by the downward recurrence from Gamma(1/2) =
+    sqrt(pi), whose factors 1/2 - r are exact in binary64; and
+    Gamma((1-w)/2)/2 otherwise.  From 2m = 1024 on, where eval_even
+    refuses before reading the record, an even ``const`` is NaN and
+    costs O(1), not a loop of m steps.  On a miss ``const`` is made
+    before any row entry, through the module-global specfun names, so
+    a caller that rebinds a name sees every call that runs.
 
+    The k-sum coefficients row[k] = (-1)^k zeta(w - 2k) grow on demand.
     While w - 2k >= 0 an entry is zeta_real(w - 2k), so the even
     route's coefficients are those of zeta_real bit for bit.  From the
     first k0 with w - 2k0 < 0 on, the functional equation (DLMF 25.4.1)
@@ -187,8 +196,8 @@ class _ZetaRow:
     with zeta(2k + 1 - w), argument > 1, from ``_zeta_gt1``.  The sine
     is taken on w itself, so no rounded w - 2k sits next to a trivial
     zero (at w = 2m it is exactly 0 past k = m), and 2^w pi^(w-1) is
-    never formed, so a large w does not overflow.  The k = m entry of
-    an odd w, a pole that the k-sum skips, is 0.
+    never formed, so a large w does not overflow.  The entry at
+    ``skip``, a pole, is 0.
 
     ``tip`` holds the published entries, an immutable tuple, with the
     g of the last, replaced whole, so a reader needs no lock.  A grower
@@ -199,14 +208,32 @@ class _ZetaRow:
     entry never changes once it is there.
     """
 
-    __slots__ = ("w", "tip", "_skip", "_k0", "_lock")
+    __slots__ = ("w", "kind", "m", "skip", "const", "tip", "_k0", "_lock")
 
     def __init__(self, w: float):
         kind, m = classify_exponent(w)
+        if kind == ODD:
+            if m > _FACTORIAL_MAX:
+                raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
+            const = 0.5 * digamma_int(m)
+        elif kind == EVEN or w == 0.0:
+            # w = 0 is pj's exponent, which classify_exponent leaves unclassed
+            if 2 * m < sys.float_info.max_exp:
+                denom = 1.0
+                for r in range(1, m + 1):
+                    denom *= 0.5 - r
+                const = 0.5 * (math.sqrt(math.pi) / denom)
+            else:
+                const = math.nan
+        else:
+            const = 0.5 * gamma_real(0.5 - 0.5 * w)
         self.w = w
+        self.kind = kind
+        self.m = m
+        self.skip = m if kind == ODD else None
+        self.const = const
         # g is 0.0 until the row is past k0
         self.tip: tuple[tuple[float, ...], float] = ((), 0.0)
-        self._skip = m if kind == ODD else None
         self._k0 = int(w // 2.0) + 1
         self._lock = threading.Lock()
 
@@ -216,7 +243,7 @@ class _ZetaRow:
         g of its last entry, given g of the last entry before."""
         w = self.w
         for j in range(len(row), k + 1):
-            if j == self._skip:
+            if j == self.skip:
                 row.append(0.0)
             elif j < self._k0:
                 z = zeta_real(w - 2.0 * j)
@@ -238,10 +265,6 @@ class _ZetaRow:
                 self.tip = (tuple(row), g)
             return self.tip[0]
 
-    @property
-    def entries(self) -> tuple[float, ...]:
-        return self.tip[0]
-
     def upto(self, k: int) -> tuple[float, ...]:
         """The row, holding at least the entries 0..k."""
         entries, g = self.tip
@@ -252,27 +275,8 @@ class _ZetaRow:
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
-def _zeta_row(w: float) -> _ZetaRow:
-    return _ZetaRow(w)
-
-
-@functools.lru_cache(maxsize=_SINGULAR_MEMO)
-def _singular_const(w: float) -> tuple[Optional[int], float, bool]:
-    # (m, psi(m+1) / 2, False) for w = 2m+1 within tolerance, else
-    # (None, Gamma((1-w)/2) / 2, near_odd); w > 0.  An even w is
-    # refused here, so it is classified once per exponent, not once per
-    # call.
-    kind, m = classify_exponent(w)
-    if kind == EVEN:
-        raise EvenExponentError(
-            f"w = {w} is an even integer; use the even-exponent transformation"
-        )
-    if kind == ODD:
-        if m > _FACTORIAL_MAX:
-            # refused before digamma_int, whose exact sum takes O(m^2)
-            raise PrecisionError(f"the singular term at w = {w} needs {m}!, past binary64")
-        return m, 0.5 * digamma_int(m), False
-    return None, 0.5 * gamma_real(0.5 - 0.5 * w), kind == NEAR_ODD
+def _exponent(w: float) -> _Exponent:
+    return _Exponent(w)
 
 
 # ----------------------------------------------------------------------
@@ -342,30 +346,31 @@ def singular_term(spec: SumSpec) -> complex:
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"singular_term requires w > 0, got {w}")
-    m, c, _ = _singular_const(w)
-    if m is not None:
-        return ((-a) ** m / math.factorial(m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + c)
-    return c * a ** ((w - 1.0) / 2.0)
+    e = _exponent(w)
+    if e.kind == ODD:
+        return ((-a) ** e.m / math.factorial(e.m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + e.const)
+    if e.kind == EVEN:
+        raise EvenExponentError(f"w = {w} is an even integer; use the even-exponent transformation")
+    return e.const * a ** ((w - 1.0) / 2.0)
 
 
 def _k_sum(
     a: complex,
-    w: float,
-    m_skip: Optional[int],
+    e: _Exponent,
     policy: TruncationPolicy,
     kept: list[complex],
     log: Optional[TermLog],
 ) -> tuple[int, float]:
     # Appends the kept terms of sum'_k (-1)^k zeta(w - 2k) a^k / k!,
-    # k = m_skip left out, to ``kept`` (which holds the singular term)
+    # k = e.skip left out, to ``kept`` (which holds the singular term)
     # and, with a ``log``, logs every computed term in one write.
     # Returns (terms added, magnitude of the first omitted term); when
     # the least-term rule stops the sum, the least term is that first
     # omitted term.  Coefficients past the published row are grown in a
     # local copy and published once, when the sum stops.
     cap, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
-    zrow = _zeta_row(w)
-    row, g = zrow.tip
+    skip = e.skip
+    row, g = e.tip
     n_row = len(row)
     grown: Optional[list[float]] = None
     running = sum(kept)
@@ -376,11 +381,11 @@ def _k_sum(
     added = 0
     k = 0
     while True:
-        if k != m_skip:
+        if k != skip:
             if k >= n_row:
                 if grown is None:
                     row = grown = list(row)
-                g = zrow.grow(grown, g, k)
+                g = e.grow(grown, g, k)
                 n_row = k + 1
             term = row[k] * apow
             mag = abs(term)
@@ -399,12 +404,12 @@ def _k_sum(
         k += 1
         apow *= a / k
     if grown is not None:
-        zrow.publish(grown, g)
+        e.publish(grown, g)
     if mags is not None:
-        if m_skip is None or m_skip > k:
+        if skip is None or skip > k:
             log.extend("k", range(k + 1), mags)
         else:
-            log.extend("k", [*range(m_skip), *range(m_skip + 1, k + 1)], mags)
+            log.extend("k", [*range(skip), *range(skip + 1, k + 1)], mags)
     return added, mag
 
 
@@ -443,11 +448,10 @@ def eval_generic(
     a, w = spec.a, spec.w
     if w <= 0.0:
         raise DomainError(f"eval_generic requires w > 0, got {w}")
-    # the k = m term of an odd w lives in the singular term
-    m_skip, _, near_odd = _singular_const(w)
+    e = _exponent(w)
     try:
         kept = [singular_term(spec)]
-        included, first_omitted = _k_sum(a, w, m_skip, policy, kept, log)
+        included, first_omitted = _k_sum(a, e, policy, kept, log)
     except OverflowError:
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
@@ -458,23 +462,13 @@ def eval_generic(
         terms_used={"k": included},
         err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept)),
         term_log=TermLog() if log is None else log,
-        near_odd_warning=near_odd,
+        near_odd_warning=e.kind == NEAR_ODD,
     )
 
 
 # ----------------------------------------------------------------------
 # even-exponent transformation, w = 2m
 # ----------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=_SINGULAR_MEMO)
-def _gamma_half_minus(m: int) -> float:
-    # Gamma(1/2 - m) by downward recurrence from Gamma(1/2) = sqrt(pi);
-    # the factors 1/2 - r are exact in binary64.
-    denom = 1.0
-    for r in range(1, m + 1):
-        denom *= 0.5 - r
-    return math.sqrt(math.pi) / denom
 
 
 def tail_factor(
@@ -647,8 +641,9 @@ def _even_transform(
     # eval_even at m >= 1, the classical identity at m = 0
     try:
         # the algebraic part, the k-terms and the dual terms, in one sum
-        parts = [0.5 * _gamma_half_minus(m) * a ** (m - 0.5)]
-        row = _zeta_row(2.0 * m).upto(m)
+        e = _exponent(2.0 * m)
+        parts = [e.const * a ** (m - 0.5)]
+        row = e.upto(m)
         apow: complex = 1.0 + 0j  # a^k / k!
         k = 0
         while True:

@@ -4,9 +4,10 @@ Every expansion in this package is tested against this module.  The
 cutoff is solved once, before any term is made: the smallest n whose
 rigorous geometric tail bound on the omitted terms (see _tail_bound
 for the inequality) is within the tolerance, found by galloping out
-from a closed-form estimate and bisecting.  The n terms are then summed
-with math.fsum, real and imaginary parts apart, in blocks of _BLOCK
-terms so that memory stays bounded.  For a real a (Im(a) == 0) the
+from a closed-form estimate and bisecting; a cutoff past MAX_TERMS, or
+past a term whose n^w overflows binary64, is refused.  The n terms are
+then summed with math.fsum, real and imaginary parts apart, in blocks
+of _BLOCK terms so that memory stays bounded.  For a real a (Im(a) == 0) the
 terms are made in floats, with math.exp, and are the complex terms bit
 for bit (see direct_sum); the value's imaginary part is +0.0.
 """
@@ -18,7 +19,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PrecisionError
 from .model import SumSpec
 
 __all__ = ["OracleResult", "direct_sum"]
@@ -63,9 +64,12 @@ def _tail_bound(re_a: float, w: float, n: int) -> float:
     |t_{k+1}/t_k| <= exp(-re_a (2n+3)) (the ratio exp(-re_a (2k+1))
     with k >= n+1, and (k/(k+1))^w <= 1 for w >= 0), so the tail is
     dominated by the geometric series
-    |t_{n+1}| / (1 - exp(-re_a (2n+3))).  Where n^w overflows, this
-    bound is far below any eps, so the cutoff stops before a term whose
-    n^w would overflow: the summing loop never meets one.
+    |t_{n+1}| / (1 - exp(-re_a (2n+3))).  Where (n+1)^w overflows, the
+    bound is below 1 / (2^1024 (1 - exp(-re_a (2n+3)))), within eps
+    while re_a (2n+3) is above about 1 / (2^1024 eps), 6e-293 at
+    eps = 1e-16.  Below that, at a subnormal Re(a), exp(-re_a n^2) is
+    about 1 and the cutoff can lie past a term whose n^w overflows;
+    direct_sum refuses such a cutoff.
     """
     expo = -re_a * (n + 1.0) ** 2
     mag = math.exp(expo) if expo > -745.0 else 0.0
@@ -141,8 +145,10 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     eps below 1e-16 is rejected: binary64 cannot certify tighter.
     Raises ConvergenceError when the cutoff would exceed the iteration
     budget (Re(a) too small for direct summation at the requested
-    tolerance); the cutoff is solved before any term is summed, so
-    that error comes without the summing.
+    tolerance), and PrecisionError when the last term's n^w is past
+    binary64 (a subnormal Re(a) with a large w; see _tail_bound).  The
+    cutoff is solved before any term is summed, so either error comes
+    without the summing.
 
     For Im(a) == 0 each term is math.exp(-Re(a) k^2) / k^w in floats.
     That is the complex term cmath.exp(-a k^2) / k^w bit for bit: -a k^2
@@ -158,14 +164,13 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     a = spec.a
     w = spec.w
     re_a = a.real
-    # a-priori reach check so hopeless requests fail fast
-    n_est = math.sqrt(max(0.0, -math.log(eps) + 5.0) / re_a)
-    if n_est > 1.05 * MAX_TERMS:
-        raise ConvergenceError(
-            f"direct summation needs ~{n_est:.2e} terms at eps={eps}; "
-            "convergence is too slow, use an expansion method"
-        )
     n = _stop_index(re_a, w, eps)
+    try:
+        math.pow(n, w)
+    except OverflowError:
+        raise PrecisionError(
+            f"direct summation at a = {a}, w = {w} needs {n}^{w}, past binary64"
+        ) from None
     # on the real axis a complex term's imaginary part is a signed zero
     neg_a, exp = (-re_a, math.exp) if a.imag == 0.0 else (-a, cmath.exp)
     # real and imaginary parts still to be summed; the leading +0.0

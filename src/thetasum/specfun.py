@@ -235,7 +235,8 @@ def zeta_real(s: float) -> float:
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).  Near
     s = 0 that equation would read zeta(1-s) after 1-s is rounded,
     next to its pole, while the series has no pole there.  Negative
-    even integers return exactly 0.
+    even integers return exactly 0; any other s < -170 is refused with
+    DomainError, as Gamma(1-s) is past binary64 there.
     """
     s = _require_finite(s, "s")
     if abs(s - 1.0) < POLE_TOL:
@@ -249,21 +250,8 @@ def zeta_real(s: float) -> float:
     if s < 0.0 and s == 2.0 * round(s / 2.0):
         return 0.0
     if s < -170.0:
-        # Gamma(1-s) alone overflows; assemble the magnitude in logs.
-        # Outside the accuracy contract (|s| <= 60) but keeps the
-        # function total for diagnostic sweeps.
-        sin_term = _sin_half_pi(s)
-        if sin_term == 0.0:
-            return 0.0
-        mag = (
-            s * _LN2
-            + (s - 1.0) * _LN_PI
-            + _log_gamma(1.0 - s)
-            + math.log(abs(sin_term))
-            + math.log(_zeta_alternating(1.0 - s))
-        )
-        sign = 1.0 if sin_term > 0.0 else -1.0
-        return sign * math.exp(mag) if mag < 709.0 else sign * math.inf
+        # near where Gamma(1-s) leaves binary64 (171! is past it)
+        raise DomainError(f"zeta_real requires s >= -170 off the trivial zeros, got {s}")
     return (
         2.0**s
         * math.pi ** (s - 1.0)

@@ -62,9 +62,54 @@ def test_eval_generic_small_a_matches_oracle(capsys):
 
 
 def test_eval_direct_infeasible_exit_code(capsys):
-    rc, _, err = run(capsys, "eval", "--a", "1e-15", "--w", "4", "--method", "direct")
+    rc, _, err = run(capsys, "eval", "--a", "1e-15", "--w", "0.5", "--method", "direct")
     assert rc == 3
     assert "expansion" in err
+
+
+def test_eval_direct_at_small_a_and_large_w_answers(capsys):
+    rc, out, _ = run(capsys, "eval", "--a", "1e-13", "--w", "60", "--method", "direct")
+    assert rc == 0
+    assert _report(out)["terms"] == "n_direct=2"
+
+
+def test_eval_direct_past_an_overflowing_power_is_a_precondition(capsys):
+    # the cutoff lies past a term whose n^140 is past binary64
+    rc, out, err = run(capsys, "eval", "--a", "1e-310", "--w", "140", "--method", "direct")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: precondition violated: ") and "past binary64" in err
+
+
+@pytest.mark.parametrize("a", ["1e-15", "1e-310"])
+def test_eval_reports_an_infeasible_oracle(a, tmp_path, capsys):
+    # the route answers; the oracle refuses (too many terms, or an n^w
+    # past binary64), and eval says so, sweep leaves the error empty
+    w = "0.5" if a == "1e-15" else "140"
+    rc, out, _ = run(capsys, "eval", "--a", a, "--w", w)
+    assert rc == 0
+    assert "oracle        infeasible" in out
+    assert "abs_error" not in out
+    target = tmp_path / "s.csv"
+    rc, _, _ = run(capsys, "sweep", "--a", a, "--w", w, "--out", str(target))
+    assert rc == 0
+    assert [row["abs_err_vs_oracle"] for row in csv.DictReader(target.open())] == [""]
+
+
+@pytest.mark.parametrize("a", ["inf", "nan", "1+infj"])
+def test_eval_non_finite_a_is_a_precondition(a, capsys):
+    rc, out, err = run(capsys, "eval", "--a", a, "--w", "1.5")
+    assert rc == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("policy", ["fixed:x", "fixed:", "fixed:2.5"])
+def test_eval_malformed_fixed_policy_is_refused(policy, capsys):
+    rc, out, err = run(capsys, "eval", "--a", "0.5", "--w", "4", "--policy", policy)
+    assert rc == 2
+    assert out == ""
+    assert "fixed:N" in err
 
 
 def test_eval_near_odd_warning_shown(capsys):
@@ -286,7 +331,7 @@ def test_sweep_unwritable_path(capsys):
     assert "cannot write" in err
 
 
-@pytest.mark.parametrize("a_list", ["1.0,-1.0", "", "1.0,"])
+@pytest.mark.parametrize("a_list", ["1.0,-1.0", "", "1.0,", "1.0,inf", "nan"])
 def test_sweep_bad_a_leaves_no_file(a_list, tmp_path, capsys):
     target = tmp_path / "s.csv"
     rc, out, err = run(capsys, "sweep", "--a", a_list, "--w", "4", "--methods", "even", "--out", str(target))
@@ -336,7 +381,7 @@ def test_sweep_direct_row_sums_once(tmp_path, capsys, monkeypatch):
 
 def test_sweep_direct_infeasible_exit_code(tmp_path, capsys):
     target = tmp_path / "s.csv"
-    rc, _, err = run(capsys, "sweep", "--a", "1e-15", "--w", "4", "--methods", "direct", "--out", str(target))
+    rc, _, err = run(capsys, "sweep", "--a", "1e-15", "--w", "0.5", "--methods", "direct", "--out", str(target))
     assert rc == 3
     assert "expansion" in err
     assert not target.exists()

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -353,8 +354,7 @@ def test_even_refuses_w_whose_power_of_two_overflows(monkeypatch, w):
     def no_terms(*args):
         raise AssertionError("a term was made")
 
-    monkeypatch.setattr(engine, "_gamma_half_minus", no_terms)
-    monkeypatch.setattr(engine, "_zeta_row", no_terms)
+    monkeypatch.setattr(engine, "_exponent", no_terms)
     with pytest.raises(PrecisionError, match="past binary64"):
         eval_even(SumSpec(1e-3, w), round(w / 2))
 
@@ -517,10 +517,10 @@ def test_truncate_start_value_survives_larger_terms(monkeypatch):
     # gives the terms big, -big and 5 + 5j.
     big = 1e16 - 1e16j
     row = (big, -big, 10.0 + 10.0j)
-    monkeypatch.setattr(engine, "_zeta_row", lambda w: SimpleNamespace(tip=(row, 0.0), upto=lambda k: row))
+    e = SimpleNamespace(skip=None, tip=(row, 0.0))
     kept = [1.0 - 1.0j]
     log = TermLog()
-    added, last = engine._k_sum(1.0 + 0j, 1.5, None, Fixed(2), kept, log)
+    added, last = engine._k_sum(1.0 + 0j, e, Fixed(2), kept, log)
     assert (added, last) == (2, abs(5.0 + 5.0j))
     assert kept == [1.0 - 1.0j, big, -big]
     assert log.series("k") == [(0, abs(big)), (1, abs(big)), (2, abs(5.0 + 5.0j))]
@@ -565,14 +565,14 @@ def _reference_truncate(terms, policy, cap, kept, lead=None, rel_floor=0.0):
 
 def _reference_generic(spec, policy):
     a, w = spec.a, spec.w
-    m_skip, _, _ = engine._singular_const(w)
+    e = engine._exponent(w)
     log = TermLog()
 
     def terms():
         apow, k = 1.0 + 0j, 0
         while True:
-            if k != m_skip:
-                term = engine._zeta_row(w).upto(k)[k] * apow
+            if k != e.skip:
+                term = e.upto(k)[k] * apow
                 log.log("k", k, abs(term))
                 yield term, abs(term)
             k += 1
@@ -669,6 +669,9 @@ def test_dispatch_guards():
         evaluate(SumSpec(1.0, 1.5), MethodChoice.EVEN_TRANSFORM)
     with pytest.raises(MismatchError):
         evaluate(SumSpec(1.0, 1.0), MethodChoice.CLASSICAL_PJ)
+    # a method is a MethodChoice, not its value
+    with pytest.raises(DomainError, match="unknown method 'generic'"):
+        evaluate(SumSpec(1.0, 1.5), "generic")
 
 
 def test_dispatch_direct_wraps_oracle():
@@ -913,9 +916,52 @@ def test_memo_misses_go_through_engine_names(monkeypatch, clear_memos):
     assert second.terms_used["k"] <= first.terms_used["k"]
     assert len(zetas) == 1
     assert len(gammas) == 2
-    for memo in (engine._zeta_row, engine._singular_const, engine._gamma_half_minus):
-        maxsize = memo.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+    # one memo holds everything that depends on w alone
+    memos = [value for value in vars(engine).values() if hasattr(value, "cache_info")]
+    assert memos == [engine._exponent]
+    maxsize = engine._exponent.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_a_new_exponent_is_classified_once(monkeypatch, clear_memos):
+    clear_memos()
+    classify = engine.classify_exponent
+    classified = []
+
+    def counting_classify(w):
+        classified.append(w)
+        return classify(w)
+
+    monkeypatch.setattr(engine, "classify_exponent", counting_classify)
+    for w in (2.75, 3.0, 3.02):
+        eval_generic(SumSpec(0.1, w), log=TermLog())
+        eval_generic(SumSpec(0.02 + 0.01j, w), Fixed(3))
+    assert classified == [2.75, 3.0, 3.02]
+
+
+def test_even_head_constant_is_the_exact_recurrence():
+    # Gamma(1/2 - m) / 2 by the downward recurrence from sqrt(pi), w = 0
+    # (pj) included, where classify_exponent gives no class; gamma_real
+    # is 1 ulp off sqrt(pi) at 1/2 and differs from the recurrence at
+    # most m below 200
+    denom = 1.0
+    for m in range(200):
+        if m:
+            denom *= 0.5 - m
+        assert engine._exponent(2.0 * m).const == 0.5 * (math.sqrt(math.pi) / denom), m
+
+
+@pytest.mark.parametrize("w", [1024.0, 1e10])
+def test_even_record_past_the_even_limit_costs_no_loop(w):
+    # eval_even refuses 2m >= 1024 before reading the record, and a loop
+    # of m steps at w = 1e10 would take minutes
+    start = time.perf_counter()
+    e = engine._Exponent(w)
+    with pytest.raises(EvenExponentError):
+        eval_generic(SumSpec(0.5, w))
+    assert time.perf_counter() - start < 1.0
+    assert (e.kind, e.m) == (engine.EVEN, round(w / 2))
+    assert math.isnan(e.const)
 
 
 def test_memo_is_thread_safe(clear_memos):
@@ -942,7 +988,7 @@ def test_memo_is_thread_safe(clear_memos):
 
 @pytest.mark.parametrize("w", [1.25, 3.0, 5.99976, 17.3])
 def test_row_grown_by_eight_threads_equals_the_sequential_row(w):
-    sequential = engine._ZetaRow(w).upto(40)
+    sequential = engine._Exponent(w).upto(40)
     targets = list(range(41)) * 2
     rng = random.Random(7)
     interval = sys.getswitchinterval()
@@ -950,10 +996,10 @@ def test_row_grown_by_eight_threads_equals_the_sequential_row(w):
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(20):
-                row = engine._ZetaRow(w)  # cold, outside the memo
+                row = engine._Exponent(w)  # cold, outside the memo
                 rng.shuffle(targets)
                 grown = list(pool.map(row.upto, targets, timeout=60))
-                assert row.entries == sequential
+                assert row.tip[0] == sequential
                 for k, entries in zip(targets, grown):
                     assert len(entries) > k and entries == sequential[: len(entries)]
     finally:
@@ -964,7 +1010,7 @@ def test_row_grown_by_eight_threads_equals_the_sequential_row(w):
 def test_even_k_terms_are_zeta_real_bit_for_bit(m):
     # the even route's coefficients never come from the recurrence
     a = 0.3 + 0.2j
-    row = engine._zeta_row(2.0 * m).upto(m)
+    row = engine._exponent(2.0 * m).upto(m)
     logged = eval_even(SumSpec(a, 2.0 * m), m, log=TermLog()).term_log.series("k")
     apow = 1.0 + 0j
     for k in range(m + 1):

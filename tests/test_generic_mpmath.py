@@ -39,7 +39,7 @@ def test_row_matches_mpmath_zeta():
     worst = (0.0, None)
     for w in _row_grid():
         kind, m = engine.classify_exponent(w)
-        row = engine._zeta_row(w).upto(K_MAX)
+        row = engine._exponent(w).upto(K_MAX)
         for k in range(K_MAX + 1):
             if kind == engine.ODD and k == m:
                 continue

@@ -17,6 +17,7 @@ from thetasum import (
     ConvergenceError,
     DomainError,
     MethodChoice,
+    PrecisionError,
     SumSpec,
     direct_sum,
     evaluate,
@@ -49,12 +50,31 @@ def test_rejects_bad_spec_and_eps():
     with pytest.raises(DomainError):
         SumSpec(-1.0, 4.0)
     with pytest.raises(DomainError):
+        SumSpec(1.0, -1.0)
+    with pytest.raises(DomainError):
         direct_sum(SumSpec(1.0, 4.0), 1e-17)
 
 
 def test_convergence_error_for_tiny_re_a():
     with pytest.raises(ConvergenceError):
-        direct_sum(SumSpec(1e-15, 4.0))
+        direct_sum(SumSpec(1e-15, 0.5))
+
+
+def test_small_re_a_with_a_large_w_is_summed():
+    # the tail falls with n^-w long before exp(-a n^2) does
+    res = direct_sum(SumSpec(1e-13, 60.0))
+    assert res.n_terms == 2
+    assert res.value.real == pytest.approx(1.0 + 2.0**-60, rel=1e-12)
+    # and at w = 4 the cutoff is below the budget
+    assert oracle._stop_index(1e-15, 4.0, 1e-16) == 1_379_204
+
+
+@pytest.mark.parametrize("a", [1e-310, 5e-324, 1e-310 + 1j])
+def test_cutoff_past_an_overflowing_power_is_a_precision_error(a):
+    # with Re(a) (2n+3) below about 6e-293 the cutoff lies past a term
+    # whose n^w is past binary64
+    with pytest.raises(PrecisionError, match="past binary64"):
+        direct_sum(SumSpec(a, 140.0))
 
 
 def test_tail_bound_decreases_with_eps():
@@ -98,7 +118,7 @@ def test_stop_index_matches_a_linear_scan():
 
 
 def test_loose_eps_stops_at_the_first_term():
-    # above eps = e^5 the reach estimate's radicand is negative
+    # above eps = 1 the stop index's target -log(eps) is negative
     res = direct_sum(SumSpec(1.0, 2.0), 1e3)
     assert res.n_terms == 1
     assert res.value == cmath.exp(-1.0)
@@ -116,7 +136,7 @@ def test_stop_index_past_the_budget_raises(monkeypatch):
 
 
 def test_budget_error_comes_before_any_term(monkeypatch):
-    # passes the a-priori reach check but needs ~1.1e7 terms
+    # needs ~1.1e7 terms, past MAX_TERMS: _stop_index refuses it
     def no_terms(*args):
         raise AssertionError("a term was made")
 

@@ -1,11 +1,12 @@
 """tools/repr_dump.py: the bit-identity dump runs and repeats itself."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from thetasum import engine
+from thetasum import engine, errors
 
 ROOT = Path(__file__).parents[1]
 
@@ -24,10 +25,16 @@ def test_two_runs_print_the_same_lines():
     first = _dump(1)
     assert first == _dump(1)
     lines = first.splitlines()
-    # the three specials and eight W4 rows follow the one seeded modulus
+    # the five specials and eight W4 rows follow the one seeded modulus
     assert len(lines) > 2000
     for kind in ("route direct", "route generic", "route even", "route pj", "tail_factor", "direct_sum"):
         assert any(line.startswith(kind + " ") for line in lines), kind
     # answers and refusals both appear
     assert any(" log=" in line for line in lines)
     assert any("| PrecisionError: " in line for line in lines)
+    # every refusal, at the subnormal and huge specials too, is one of
+    # the package's own, not an arithmetic error that leaked out
+    refusals = {m.group(1) for line in lines if (m := re.search(r"\| (\w+): ", line))}
+    assert refusals
+    for name in refusals:
+        assert issubclass(getattr(errors, name, type(None)), errors.ThetaSumError), name

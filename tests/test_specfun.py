@@ -202,6 +202,18 @@ def test_zeta_pole():
         zeta_real(1.0 + 1e-13)
 
 
+@pytest.mark.parametrize("s", [-170.5, -171.0, -400.5, -1001.0])
+def test_zeta_refuses_s_below_minus_170(s):
+    # Gamma(1 - s) leaves binary64 there
+    with pytest.raises(DomainError, match="s >= -170"):
+        zeta_real(s)
+
+
+def test_zeta_trivial_zeros_below_minus_170_stay_zero():
+    assert zeta_real(-172.0) == 0.0
+    assert zeta_real(-1000.0) == 0.0
+
+
 def test_zeta_spot_values():
     # precomputed at 40-digit working precision
     assert rel(zeta_real(3.0), 1.2020569031595942854) < 1e-13
