@@ -52,10 +52,12 @@ once per exponent, into one ``_Exponent`` record, memoised in one
 fixed-size cache of _SINGULAR_MEMO exponents (``_exponent``,
 functools.lru_cache, thread safe): w's class and m, classified once;
 the head constant, the singular term's Gamma or digamma constant or
-the even route's Gamma(1/2 - m); and the k-sum's row
-(-1)^k zeta(w - 2k), which grows on demand, in a local copy published
-once per call (zeta_real while w - 2k >= 0, the functional equation as
-a recurrence in k past that).
+the even route's Gamma(1/2 - m); the k-sum's row (-1)^k zeta(w - 2k),
+which grows on demand, in a local copy published once per call
+(zeta_real while w - 2k >= 0, the functional equation as a recurrence
+in k past that); and, for w = 2m, the tail factor's row of term ratios
+(m + j)(m + 1/2 + j)/(j + 1), which grows only to the length a call
+needs and is published the same way.
 A value does not depend on what the cache holds.  Each series stops at
 a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
 a Fixed policy, or the dual sum with n_max.
@@ -128,6 +130,10 @@ _FACTORIAL_MAX = 170
 
 # Exponents held by the per-exponent memo, ``_exponent``.
 _SINGULAR_MEMO = 256
+
+# The largest m that tail_factor takes: past it 2m is not exact in
+# binary64, so the record of w = 2m may hold another m.
+_M_EXACT = 1 << 53
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +212,16 @@ class _Exponent:
     under the lock when the copy is longer.  Every grower computes the
     same values in the same order, so whichever copy is published, an
     entry never changes once it is there.
+
+    ``ratios`` is the tail factor's row for w = 2m: the ratios
+    r_j = (m + j)(m + 1/2 + j)/(j + 1.0) = c_(j+1)/c_j of its
+    coefficients, which depend on m alone.  ``ratios_upto`` grows it to
+    the length a call asks for and no further, and publishes it as
+    ``tip`` is published: an immutable tuple, extended without the
+    lock and replaced whole under it when the extension is longer.
     """
 
-    __slots__ = ("w", "kind", "m", "skip", "const", "tip", "_k0", "_lock")
+    __slots__ = ("w", "kind", "m", "skip", "const", "tip", "ratios", "_k0", "_lock")
 
     def __init__(self, w: float):
         kind, m = classify_exponent(w)
@@ -234,6 +247,7 @@ class _Exponent:
         self.const = const
         # g is 0.0 until the row is past k0
         self.tip: tuple[tuple[float, ...], float] = ((), 0.0)
+        self.ratios: tuple[float, ...] = ()
         self._k0 = int(w // 2.0) + 1
         self._lock = threading.Lock()
 
@@ -272,6 +286,19 @@ class _Exponent:
             return entries
         row = list(entries)
         return self.publish(row, self.grow(row, g, k))
+
+    def ratios_upto(self, count: int) -> tuple[float, ...]:
+        """The tail-factor ratios, holding at least r_0..r_(count-1)."""
+        ratios = self.ratios
+        if count <= len(ratios):
+            return ratios
+        m = self.m
+        mh = m + 0.5
+        grown = ratios + tuple([(m + j) * (mh + j) / (j + 1.0) for j in range(len(ratios), count)])
+        with self._lock:
+            if len(grown) > len(self.ratios):
+                self.ratios = grown
+            return self.ratios
 
 
 @functools.lru_cache(maxsize=_SINGULAR_MEMO)
@@ -360,13 +387,15 @@ def _k_sum(
     policy: TruncationPolicy,
     kept: list[complex],
     log: Optional[TermLog],
-) -> tuple[int, float]:
+) -> tuple[int, float, float]:
     # Appends the kept terms of sum'_k (-1)^k zeta(w - 2k) a^k / k!,
     # k = e.skip left out, to ``kept`` (which holds the singular term)
     # and, with a ``log``, logs every computed term in one write.
-    # Returns (terms added, magnitude of the first omitted term); when
-    # the least-term rule stops the sum, the least term is that first
-    # omitted term.  Coefficients past the published row are grown in a
+    # Returns (terms added, magnitude of the first omitted term,
+    # sum|kept|); when the least-term rule stops the sum, the least term
+    # is that first omitted term.  sum|kept| is added left to right
+    # whatever the Python version (sum() compensates over floats from
+    # 3.12 on).  Coefficients past the published row are grown in a
     # local copy and published once, when the sum stops.
     cap, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
     skip = e.skip
@@ -374,6 +403,9 @@ def _k_sum(
     n_row = len(row)
     grown: Optional[list[float]] = None
     running = sum(kept)
+    abs_kept = 0.0
+    for t in kept:
+        abs_kept += abs(t)
     mags: Optional[list[float]] = None if log is None else []
     apow: complex = 1.0 + 0j  # a^k / k!
     held: Optional[complex] = None
@@ -397,6 +429,7 @@ def _k_sum(
                     break
                 kept.append(held)
                 running += held
+                abs_kept += held_mag
                 added += 1
             held, held_mag = term, mag
             if added == cap or (rel_floor and mag < rel_floor * abs(running)):
@@ -410,7 +443,7 @@ def _k_sum(
             log.extend("k", range(k + 1), mags)
         else:
             log.extend("k", [*range(skip), *range(skip + 1, k + 1)], mags)
-    return added, mag
+    return added, mag, abs_kept
 
 
 def eval_generic(
@@ -451,7 +484,7 @@ def eval_generic(
     e = _exponent(w)
     try:
         kept = [singular_term(spec)]
-        included, first_omitted = _k_sum(a, e, policy, kept, log)
+        included, first_omitted, abs_kept = _k_sum(a, e, policy, kept, log)
     except OverflowError:
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
@@ -460,7 +493,7 @@ def eval_generic(
         value=_complex_fsum(kept),
         method=MethodChoice.GENERIC,
         terms_used={"k": included},
-        err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept)),
+        err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * abs_kept,
         term_log=TermLog() if log is None else log,
         near_odd_warning=e.kind == NEAR_ODD,
     )
@@ -483,7 +516,14 @@ def tail_factor(
 
     Partial sum of sum_j c_j (-a / (pi^2 n^2))^j with the
     inverse-factorial coefficients c_j = (m)_j (m+1/2)_j / j!,
-    generated by the term ratio so no large intermediates appear.
+    generated by the term ratio r_j = c_(j+1)/c_j, so no large
+    intermediates appear.  The ratios depend on m alone and are read
+    from the row of the exponent record of w = 2m: one loop runs over
+    that row under every policy, with or without a log.  The row grows
+    only to the length a call needs: when the loop reaches its end
+    before the stop, it grows to the stop's bound, j = pi^2 n^2/|a| + 2
+    under OptimalFirstMin (the least term comes by then) or the Fixed
+    count, clamped to the cap _J_CAP, and doubles past that bound.
     Unlike the generic k-sum, the series *includes* its least term:
     under OptimalFirstMin the last included index is the least-term
     index (the magnitudes are unimodal in j, so the first local
@@ -501,22 +541,27 @@ def tail_factor(
     Smith's division with ratio 0, a product's real part is the product
     of the real parts less a zero, and abs is the real part's modulus.
     The value's imaginary part is +0.0.  A non-finite a is refused:
-    the complex loop turns it into NaNs, the float loop would not.
+    the complex loop turns it into NaNs, the float loop would not; so
+    is an m past 2^53, whose 2m is not exact in binary64.
     """
     a = complex(a)
     if not (a.real > 0.0 and cmath.isfinite(a)):
         raise DomainError(f"tail_factor requires a finite a with Re(a) > 0, got a = {a}")
     _require_positive_int(m, "m")
     _require_positive_int(n, "n")
+    if m > _M_EXACT:
+        raise DomainError(f"tail_factor requires m <= 2^53, exact in binary64, got m = {m}")
     cap, least_rule, _ = _truncate(policy, _J_CAP)
+    nn2 = _PI2 * n * n
     if a.imag == 0.0:
         # the real axis, where the complex loop's imaginary parts are zeros
-        x: complex = -a.real / (_PI2 * n * n)
+        x: complex = -a.real / nn2
         t: complex = 1.0
     else:
-        x = -a / (_PI2 * n * n)
+        x = -a / nn2
         t = 1.0 + 0j
-    mh = m + 0.5
+    e = _exponent(2.0 * m)
+    ratios = e.ratios
     kept = [t]
     mags: Optional[list[float]] = None if log is None else [1.0]
     mag = 1.0
@@ -525,15 +570,25 @@ def tail_factor(
     # at t_0..t_(j-1); under the least-term rule t_(j-1) is then the
     # least term, which this series includes
     while True:
-        held_mag = mag
-        t = t * ((m + j) * (mh + j) / (j + 1.0)) * x
-        j += 1
-        mag = abs(t)
-        if mags is not None:
-            mags.append(mag)
-        if (least_rule and mag >= held_mag) or j == cap:
-            break
-        kept.append(t)
+        for ratio in ratios[j:]:
+            held_mag = mag
+            t = t * ratio * x
+            j += 1
+            mag = abs(t)
+            if mags is not None:
+                mags.append(mag)
+            if (least_rule and mag >= held_mag) or j == cap:
+                break
+            kept.append(t)
+        else:
+            # the row ends before the stop: grow it and go on.  The
+            # least term comes by about j = pi^2 n^2 / |a| + 2, a size
+            # that is inf at a subnormal a, so it is clamped to the cap
+            # before int(); past that size the row doubles
+            size = nn2 / abs(a) + 2.0 if least_rule else cap
+            ratios = e.ratios_upto(int(min(max(size, 2 * j), cap)))
+            continue
+        break
     if mags is not None:
         log.extend(f"j[n={n}]", range(j + 1), mags)
     return _complex_fsum(kept), j, mag

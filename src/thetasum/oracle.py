@@ -84,8 +84,9 @@ def _tail_bound(re_a: float, w: float, n: int) -> float:
         return math.exp(expo - w * math.log(n + 1.0)) / denom
 
 
-def _stop_index(re_a: float, w: float, eps: float) -> int:
-    """Smallest n >= 1 with _tail_bound(re_a, w, n) <= eps.
+def _stop_index(re_a: float, w: float, eps: float) -> tuple[int, float]:
+    """(n, bound): the smallest n >= 1 with bound =
+    _tail_bound(re_a, w, n) <= eps.
 
     The bound falls as n grows, so the test is monotone in n.  The
     guess solves exp(-re_a n^2) / n^w = eps with log n taken at
@@ -99,12 +100,13 @@ def _stop_index(re_a: float, w: float, eps: float) -> int:
     n2 = (target - 0.5 * w * math.log(target / re_a)) / re_a if target > 0.0 else 0.0
     guess = min(max(1, int(math.sqrt(max(0.0, n2)))), MAX_TERMS)
     step = 1
-    # bracket: lo == 0 or lo misses eps, and hi meets it
-    if _tail_bound(re_a, w, guess) <= eps:
-        hi, lo = guess, guess - 1
-        while lo > 0 and _tail_bound(re_a, w, lo) <= eps:
+    # bracket: lo == 0 or lo misses eps, and hi meets it with hi_bound
+    bound = _tail_bound(re_a, w, guess)
+    if bound <= eps:
+        hi, hi_bound, lo = guess, bound, guess - 1
+        while lo > 0 and (bound := _tail_bound(re_a, w, lo)) <= eps:
             step *= 2
-            hi, lo = lo, max(lo - step, 0)
+            hi, hi_bound, lo = lo, bound, max(lo - step, 0)
     else:
         lo = guess
         while True:
@@ -114,16 +116,18 @@ def _stop_index(re_a: float, w: float, eps: float) -> int:
                     "convergence is too slow, use an expansion method"
                 )
             hi = min(lo + step, MAX_TERMS)
-            if _tail_bound(re_a, w, hi) <= eps:
+            hi_bound = _tail_bound(re_a, w, hi)
+            if hi_bound <= eps:
                 break
             lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _tail_bound(re_a, w, mid) <= eps:
-            hi = mid
+        bound = _tail_bound(re_a, w, mid)
+        if bound <= eps:
+            hi, hi_bound = mid, bound
         else:
             lo = mid
-    return hi
+    return hi, hi_bound
 
 
 def _condense(parts: list[float]) -> list[float]:
@@ -164,7 +168,7 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     a = spec.a
     w = spec.w
     re_a = a.real
-    n = _stop_index(re_a, w, eps)
+    n, tail_bound = _stop_index(re_a, w, eps)
     try:
         math.pow(n, w)
     except OverflowError:
@@ -193,6 +197,6 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     return OracleResult(
         value=complex(math.fsum(re_parts), math.fsum(im_parts)),
         n_terms=n,
-        tail_bound=_tail_bound(re_a, w, n),
+        tail_bound=tail_bound,
         rounding_bound=rounding,
     )

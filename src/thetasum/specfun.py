@@ -12,7 +12,8 @@ expansion engine needs on the real line:
   coefficient row past its functional-equation step.
 
 The tail factor's inverse-factorial coefficients are generated by
-their term ratio inside ``engine.tail_factor``.  All functions are
+their term ratios, held in the engine's per-exponent record (see
+``engine.tail_factor``).  All functions are
 pure; the precomputed coefficient tables are immutable module
 constants, so everything here is safe to call from any number of
 threads.  The tables and ``digamma_int`` round exact integer ratios
@@ -223,7 +224,12 @@ def _zeta_gt1(s: float) -> float:
         # (s)_(2j+1) / (s)_(2j-1) = (s + 2j - 1)(s + 2j)
         corr = b + corr * (s + lo) * (s + hi) / (_EM_N * _EM_N)
     p = _EM_N**-s
-    return sum(map(pow, _EM_HEAD, repeat(-s))) + p * (_EM_N / (s - 1.0) + 0.5 + corr * s / _EM_N)
+    # the head added left to right, whatever the Python version: sum()
+    # compensates over floats from 3.12 on
+    head = 0.0
+    for n in _EM_HEAD:
+        head += n**-s
+    return head + p * (_EM_N / (s - 1.0) + 0.5 + corr * s / _EM_N)
 
 
 def zeta_real(s: float) -> float:

@@ -520,8 +520,10 @@ def test_truncate_start_value_survives_larger_terms(monkeypatch):
     e = SimpleNamespace(skip=None, tip=(row, 0.0))
     kept = [1.0 - 1.0j]
     log = TermLog()
-    added, last = engine._k_sum(1.0 + 0j, e, Fixed(2), kept, log)
+    added, last, abs_kept = engine._k_sum(1.0 + 0j, e, Fixed(2), kept, log)
     assert (added, last) == (2, abs(5.0 + 5.0j))
+    # sum|kept|, added left to right
+    assert abs_kept == abs(1.0 - 1.0j) + abs(big) + abs(-big)
     assert kept == [1.0 - 1.0j, big, -big]
     assert log.series("k") == [(0, abs(big)), (1, abs(big)), (2, abs(5.0 + 5.0j))]
     assert engine._complex_fsum(kept) == 1.0 - 1.0j
@@ -1004,6 +1006,120 @@ def test_row_grown_by_eight_threads_equals_the_sequential_row(w):
                     assert len(entries) > k and entries == sequential[: len(entries)]
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 140])
+def test_ratio_row_grown_by_eight_threads_equals_the_sequential_row(m):
+    sequential = engine._Exponent(2.0 * m).ratios_upto(120)
+    targets = list(range(1, 121)) * 2
+    rng = random.Random(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(20):
+                row = engine._Exponent(2.0 * m)  # cold, outside the memo
+                rng.shuffle(targets)
+                grown = list(pool.map(row.ratios_upto, targets, timeout=60))
+                assert row.ratios == sequential
+                for count, ratios in zip(targets, grown):
+                    assert len(ratios) >= count and ratios == sequential[: len(ratios)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _per_term_tail(a, m, n, policy, log):
+    # tail_factor as it ran with the term ratio worked out inside the
+    # loop, kept here as the reference for the memoised ratio row
+    a = complex(a)
+    cap = min(policy.count, engine._J_CAP) if isinstance(policy, Fixed) else engine._J_CAP
+    least_rule = not isinstance(policy, Fixed)
+    if a.imag == 0.0:
+        x, t = -a.real / (engine._PI2 * n * n), 1.0
+    else:
+        x, t = -a / (engine._PI2 * n * n), 1.0 + 0j
+    mh = m + 0.5
+    kept, mags, mag, j = [t], [1.0], 1.0, 0
+    while True:
+        held_mag = mag
+        t = t * ((m + j) * (mh + j) / (j + 1.0)) * x
+        j += 1
+        mag = abs(t)
+        mags.append(mag)
+        if (least_rule and mag >= held_mag) or j == cap:
+            break
+        kept.append(t)
+    if log is not None:
+        log.extend(f"j[n={n}]", range(j + 1), mags)
+    return engine._complex_fsum(kept), j, mag
+
+
+def _tail_outcome(fn, a, m, n, policy, logged):
+    log = TermLog() if logged else None
+    try:
+        got = fn(a, m, n, policy, log=log)
+    except Exception as exc:  # a refusal is an outcome
+        got = (type(exc).__name__, str(exc))
+    return repr((got, None if log is None else log.entries))
+
+
+RATIO_POLICIES = [OPTIMAL, Fixed(1), Fixed(3), Fixed(2000)]
+
+
+def test_tail_factor_over_the_ratio_row_is_the_per_term_loop_bit_for_bit(clear_memos):
+    # cold rows, grown from every length the calls leave behind
+    clear_memos()
+    rng = random.Random(20261020)
+    for m in [*range(1, 9), 140, 511]:
+        for n in range(1, 6):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+            arg = rng.uniform(-1.5, 1.5)
+            for a in (x, complex(x, -0.0), cmath.rect(x, arg), 5e-324, 1e200):
+                for policy in RATIO_POLICIES:
+                    for logged in (True, False):
+                        got = _tail_outcome(tail_factor, a, m, n, policy, logged)
+                        expected = _tail_outcome(_per_term_tail, a, m, n, policy, logged)
+                        assert got == expected, (a, m, n, policy, logged)
+
+
+@pytest.mark.parametrize("logged", [True, False])
+def test_tail_factor_grows_the_row_when_the_stop_lies_past_it(monkeypatch, logged):
+    # the first growth hands the loop 3 ratios, far short of the least
+    # term at a = 0.1 (j0 = 96): the loop grows the row and goes on
+    record = engine._Exponent(4.0)  # cold, outside the memo
+    grow = engine._Exponent.ratios_upto
+    counts = []
+
+    def short_first(self, count):
+        counts.append(count)
+        ratios = grow(self, count)
+        return ratios[:3] if len(counts) == 1 else ratios
+
+    monkeypatch.setattr(engine._Exponent, "ratios_upto", short_first)
+    monkeypatch.setattr(engine, "_exponent", lambda w: record)
+    got = _tail_outcome(tail_factor, 0.1, 2, 1, OPTIMAL, logged)
+    assert len(counts) == 2
+    assert got == _tail_outcome(_per_term_tail, 0.1, 2, 1, OPTIMAL, logged)
+    assert tail_factor(0.1, 2, 1)[1] - 1 == W4_ROWS[0].j0
+
+
+def test_tail_factor_grows_the_row_only_to_the_length_a_call_needs(clear_memos):
+    # a cold row grows to the stop's bound: j = pi^2 n^2 / |a| + 2 under
+    # the least-term rule, clamped to the cap where that quotient is inf
+    # (a subnormal a), and the count under Fixed
+    clear_memos()
+    tail_factor(0.5, 3, 2)
+    assert len(engine._exponent(6.0).ratios) == int(math.pi**2 * 4 / 0.5 + 2.0) == 80
+    # a call that stops inside the row leaves it as it is
+    tail_factor(5e-324, 3, 1)
+    tail_factor(5.0, 3, 1, Fixed(80))
+    assert len(engine._exponent(6.0).ratios) == 80
+    tail_factor(5e-324, 5, 1)
+    assert len(engine._exponent(10.0).ratios) == engine._J_CAP
+    tail_factor(1.0, 4, 1, Fixed(40))
+    assert len(engine._exponent(8.0).ratios) == 40
+    with pytest.raises(DomainError, match="2\\^53"):
+        tail_factor(1.0, 2**53 + 1, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -38,3 +38,16 @@ def test_two_runs_print_the_same_lines():
     assert refusals
     for name in refusals:
         assert issubclass(getattr(errors, name, type(None)), errors.ThetaSumError), name
+
+
+def test_no_log_runs_match_the_logged_runs():
+    # each route and tail_factor case runs with and without a TermLog;
+    # the dump marks a no-log outcome that is not the logged one
+    lines = _dump(1).splitlines()
+    for kind in ("route direct", "route generic", "route even", "route pj", "tail_factor"):
+        assert any(line.startswith(f"nolog {kind} ") for line in lines), kind
+    assert [line for line in lines if line.startswith("NOLOG-DIFFERS ")] == []
+    # an unmarked no-log line follows each logged line of a case
+    for logged, plain in zip(lines, lines[1:]):
+        if logged.startswith(("route ", "tail_factor ")):
+            assert plain.startswith("nolog " + logged.split(" | ")[0] + " | "), logged

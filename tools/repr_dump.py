@@ -11,11 +11,15 @@ message of its refusal.  The grid:
 
 * every route (direct, generic, even, pj) at every (a, w) of the grid,
   under OPTIMAL, Fixed(3) and Fixed(8), with n_max None, 1 and 3 (the
-  direct route ignores policy and n_max and runs once), each with a
-  TermLog;
-* ``tail_factor(a, m, n, policy)`` with its log, m in 1, 2, 4, 8 and
-  n in 1, 2, 3, under the same policies;
+  direct route ignores policy and n_max and runs once);
+* ``tail_factor(a, m, n, policy)``, m in 1, 2, 4, 8 and n in 1, 2, 3,
+  under the same policies;
 * ``direct_sum`` at eps 1e-16 and 1e-10, with ``value.imag``.
+
+A route or ``tail_factor`` case runs twice and prints two lines: first
+with a TermLog, then without one, the path that table1, sweep and
+most callers take.  The second line starts with ``nolog``, or with
+``NOLOG-DIFFERS`` when its outcome is not the logged run's.
 
 The parameters a are real (log-uniform in [1e-3, 20]), the same x as
 x - 0j, complex (|arg a| <= 1.5), subnormal, 1e200 and the eight W4
@@ -24,7 +28,7 @@ and a BLAKE2b digest of the repr of its entries, which keeps a line
 short while any moved magnitude still changes it.
 
 ``--points N`` takes the first N moduli of the seeded grid (default
-125, about 68k lines); the grid does not depend on N otherwise.
+125, about 128k lines); the grid does not depend on N otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ EXPONENTS = {
 ALL_W = sorted(w for ws in EXPONENTS.values() for w in ws)
 SPECIAL_A = (5e-324, 1e-310, 1e200, complex(1e200, -0.0), 1e200 + 1e199j)
 SEED = 20261019
+#: Starts a no-log line whose outcome is not the logged run's.
+NOLOG_DIFFERS = "NOLOG-DIFFERS"
 
 
 def a_grid(points: int) -> list[complex]:
@@ -81,13 +87,22 @@ def _log_repr(log: TermLog) -> str:
     return f"log={len(log.entries)}:{digest}"
 
 
-def _outcome(fn) -> str:
-    log = TermLog()
+def _run(fn, log) -> tuple[str, bool]:
+    # (the repr of what fn returns, True) or (its refusal, False)
     try:
-        got = fn(log)
+        return repr(fn(log)), True
     except Exception as exc:  # noqa: BLE001 - a refusal is an outcome
-        return f"{type(exc).__name__}: {exc}"
-    return f"{got!r} {_log_repr(log)}"
+        return f"{type(exc).__name__}: {exc}", False
+
+
+def _case(head: str, fn):
+    """Yield the case's two lines: ``fn(log)`` run with a TermLog, then
+    with None, marked when the two outcomes differ."""
+    log = TermLog()
+    logged, answered = _run(fn, log)
+    yield f"{head} | {logged} {_log_repr(log)}" if answered else f"{head} | {logged}"
+    plain, _ = _run(fn, None)
+    yield f"{'nolog' if plain == logged else NOLOG_DIFFERS} {head} | {plain}"
 
 
 def _evaluation(spec, method, policy, n_max):
@@ -95,15 +110,17 @@ def _evaluation(spec, method, policy, n_max):
         ev = evaluate(spec, method, policy, n_max, log=log)
         return (ev.value, ev.method.value, ev.terms_used, ev.err_estimate, ev.near_odd_warning)
 
-    return _outcome(run)
+    return run
 
 
-def _direct_sum(spec, eps):
+def _direct_sum(spec, eps) -> str:
+    # direct_sum takes no log: one line, with an empty log's digest
     def run(log):
         res = direct_sum(spec, eps)
         return res, repr(res.value.imag)
 
-    return _outcome(run)
+    got, answered = _run(run, None)
+    return f"{got} {_log_repr(TermLog())}" if answered else got
 
 
 def lines(points: int):
@@ -112,7 +129,8 @@ def lines(points: int):
     for a in grid:
         for w in ALL_W:
             spec = SumSpec(a, w)
-            yield f"route direct a={a!r} w={w!r} | {_evaluation(spec, MethodChoice.DIRECT, OPTIMAL, None)}"
+            head = f"route direct a={a!r} w={w!r}"
+            yield from _case(head, _evaluation(spec, MethodChoice.DIRECT, OPTIMAL, None))
         for method, exponents in EXPONENTS.items():
             for w in exponents:
                 spec = SumSpec(a, w)
@@ -120,13 +138,13 @@ def lines(points: int):
                     # the generic route ignores n_max
                     for n_max in (None,) if method is MethodChoice.GENERIC else N_MAXES:
                         head = f"route {method.value} a={a!r} w={w!r} {policy!r} n_max={n_max}"
-                        yield f"{head} | {_evaluation(spec, method, policy, n_max)}"
+                        yield from _case(head, _evaluation(spec, method, policy, n_max))
     for a in grid:
         for m in (1, 2, 4, 8):
             for n in (1, 2, 3):
                 for policy in POLICIES:
-                    got = _outcome(lambda log: tail_factor(a, m, n, policy, log=log))
-                    yield f"tail_factor a={a!r} m={m} n={n} {policy!r} | {got}"
+                    head = f"tail_factor a={a!r} m={m} n={n} {policy!r}"
+                    yield from _case(head, lambda log: tail_factor(a, m, n, policy, log=log))
     for a in grid:
         for w in ALL_W:
             for eps in (1e-16, 1e-10):
