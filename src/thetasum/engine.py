@@ -24,17 +24,19 @@ Which route fits an exponent is decided in one place,
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
 and stops by the one test that ``_truncate`` decodes from the policy.
-Every series collects its terms in a list and takes its value from
-``_complex_fsum``, math.fsum over the real and the imaginary parts
-apart, so each value is the correctly rounded sum of its terms, as the
+Every series collects its terms in a list and takes its value from one
+math.fsum call per part: ``_fsum`` for float terms, ``_complex_fsum``
+(``_fsum`` over the real and the imaginary parts apart) for complex
+ones.  So each value is the correctly rounded sum of its terms, as the
 oracle's is; a sum that is not finite raises PrecisionError.  A plain
 binary64 running sum serves the stop tests only.  For a real a
-(Im(a) == 0) the tail-factor series runs in floats: with every
-imaginary part a signed zero, each complex operation it makes rounds
-its real part as the float operation does, so the terms, the stop
-decisions and the value are those of the complex loop bit for bit, and
-the value's imaginary part is +0.0 (``tail_factor``; the oracle does
-the same).
+(Im(a) == 0) the generic k-sum and the tail-factor series run in
+floats: with every imaginary part a signed zero, each complex
+operation they make rounds its real part as the float operation does,
+so the terms, the stop decisions and the value are those of the
+complex loop bit for bit, and the value's imaginary part is +0.0
+(``_k_sum``, ``tail_factor``; the oracle does the same).  The even
+transformation's own parts are complex on the real axis too.
 A route logs term magnitudes only into a TermLog that its caller passes
 (the ``log`` keyword of evaluate, eval_generic, eval_even and
 tail_factor); without one it does no log work.  With one, the
@@ -71,7 +73,7 @@ import math
 import operator
 import sys
 import threading
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     DomainError,
@@ -121,9 +123,12 @@ _K_CAP = 400
 _J_CAP = 2000
 _N_CAP = 50
 
+_EPS = sys.float_info.epsilon
+
 # c of the generic err_estimate's rounding term c eps sum|kept terms|
-# (derived in eval_generic).
+# (derived in eval_generic), and c eps.
 _ROUNDING_C = 8.0
+_ROUNDING = _ROUNDING_C * _EPS
 
 # The largest m whose m! is finite in binary64.
 _FACTORIAL_MAX = 170
@@ -134,6 +139,13 @@ _SINGULAR_MEMO = 256
 # The largest m that tail_factor takes: past it 2m is not exact in
 # binary64, so the record of w = 2m may hold another m.
 _M_EXACT = 1 << 53
+
+# The routes as module globals: a read of a member off MethodChoice
+# costs a class attribute lookup on every call.
+_DIRECT = MethodChoice.DIRECT
+_GENERIC = MethodChoice.GENERIC
+_EVEN_TRANSFORM = MethodChoice.EVEN_TRANSFORM
+_CLASSICAL_PJ = MethodChoice.CLASSICAL_PJ
 
 
 # ----------------------------------------------------------------------
@@ -325,11 +337,26 @@ def _truncate(
     is also left out below rel_floor * |running sum|, or when ``cap``
     terms are in.  Fixed has no least-term or floor stop; its count
     lowers ``cap``.  The running sum is plain binary64 and serves the
-    floor test only; the kept terms are summed by ``_complex_fsum``.
+    floor test only; the kept terms are summed by ``_fsum`` or
+    ``_complex_fsum``.
     """
     if isinstance(policy, Fixed):
         return min(policy.count, cap), False, 0.0
     return cap, True, rel_floor
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """The correctly rounded sum of the floats ``terms``, by math.fsum.
+    A sum that is not finite raises PrecisionError: one that overflows
+    binary64 or holds infinities of both signs, and an infinite or NaN
+    term, which math.fsum passes through."""
+    try:
+        total = math.fsum(terms)
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):
+        pass
+    raise PrecisionError("a series sum is not finite in binary64")
 
 
 _REAL = operator.attrgetter("real")
@@ -337,18 +364,9 @@ _IMAG = operator.attrgetter("imag")
 
 
 def _complex_fsum(terms: list[complex]) -> complex:
-    """The correctly rounded sum of ``terms``: math.fsum over the real
-    and the imaginary parts apart.  A sum that is not finite raises
-    PrecisionError: a part that overflows binary64 or holds infinities
-    of both signs, and an infinite or NaN term, which math.fsum passes
-    through."""
-    try:
-        total = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
-        if cmath.isfinite(total):
-            return total
-    except (OverflowError, ValueError):
-        pass
-    raise PrecisionError("a series sum is not finite in binary64")
+    """The correctly rounded sum of ``terms``: ``_fsum`` over the real
+    and the imaginary parts apart."""
+    return complex(_fsum(map(_REAL, terms)), _fsum(map(_IMAG, terms)))
 
 
 # ----------------------------------------------------------------------
@@ -385,29 +403,42 @@ def _k_sum(
     a: complex,
     e: _Exponent,
     policy: TruncationPolicy,
-    kept: list[complex],
+    head: complex,
     log: Optional[TermLog],
-) -> tuple[int, float, float]:
-    # Appends the kept terms of sum'_k (-1)^k zeta(w - 2k) a^k / k!,
-    # k = e.skip left out, to ``kept`` (which holds the singular term)
-    # and, with a ``log``, logs every computed term in one write.
-    # Returns (terms added, magnitude of the first omitted term,
-    # sum|kept|); when the least-term rule stops the sum, the least term
-    # is that first omitted term.  sum|kept| is added left to right
-    # whatever the Python version (sum() compensates over floats from
-    # 3.12 on).  Coefficients past the published row are grown in a
-    # local copy and published once, when the sum stops.
+) -> tuple[complex, int, float, float]:
+    # Sums head + sum'_k (-1)^k zeta(w - 2k) a^k / k!, k = e.skip left
+    # out, and, with a ``log``, logs every computed k-term in one write.
+    # Returns (value, terms added, magnitude of the first omitted term,
+    # sum|kept|), the head not counted among the terms added; when the
+    # least-term rule stops the sum, the least term is that first
+    # omitted term.  sum|kept| is added left to right whatever the
+    # Python version (sum() compensates over floats from 3.12 on).
+    # Coefficients past the published row are grown in a local copy and
+    # published once, when the sum stops.
+    #
+    # On the real axis the loop runs in floats, as tail_factor's does,
+    # and gives the complex loop's terms, stop decisions and value bit
+    # for bit, with +0.0 as the value's imaginary part.  That takes a
+    # head whose imaginary part is a zero too, which it is for a real a
+    # except where (-a)^m is taken in polar form (m > 100); the complex
+    # loop runs there.
     cap, least_rule, rel_floor = _truncate(policy, _K_CAP, _REL_FLOOR)
+    if a.imag == 0.0 and head.imag == 0.0:
+        a = a.real
+        head = head.real
+        apow: complex = 1.0  # a^k / k!
+        total = _fsum
+    else:
+        apow = 1.0 + 0j
+        total = _complex_fsum
     skip = e.skip
     row, g = e.tip
     n_row = len(row)
     grown: Optional[list[float]] = None
-    running = sum(kept)
-    abs_kept = 0.0
-    for t in kept:
-        abs_kept += abs(t)
+    kept = [head]
+    running = head
+    abs_kept = abs(head)
     mags: Optional[list[float]] = None if log is None else []
-    apow: complex = 1.0 + 0j  # a^k / k!
     held: Optional[complex] = None
     held_mag = 0.0
     added = 0
@@ -443,7 +474,7 @@ def _k_sum(
             log.extend("k", range(k + 1), mags)
         else:
             log.extend("k", [*range(skip), *range(skip + 1, k + 1)], mags)
-    return added, mag, abs_kept
+    return complex(total(kept)), added, mag, abs_kept
 
 
 def eval_generic(
@@ -478,22 +509,21 @@ def eval_generic(
     included, is logged under the name ``k`` and ``term_log`` is that
     log; without one ``term_log`` is a fresh empty TermLog.
     """
-    a, w = spec.a, spec.w
+    a, w = spec
     if w <= 0.0:
         raise DomainError(f"eval_generic requires w > 0, got {w}")
     e = _exponent(w)
     try:
-        kept = [singular_term(spec)]
-        included, first_omitted, abs_kept = _k_sum(a, e, policy, kept, log)
+        value, included, first_omitted, abs_kept = _k_sum(a, e, policy, singular_term(spec), log)
     except OverflowError:
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
         ) from None
     return Evaluation(
-        value=_complex_fsum(kept),
-        method=MethodChoice.GENERIC,
+        value=value,
+        method=_GENERIC,
         terms_used={"k": included},
-        err_estimate=first_omitted + _ROUNDING_C * sys.float_info.epsilon * abs_kept,
+        err_estimate=first_omitted + _ROUNDING * abs_kept,
         term_log=TermLog() if log is None else log,
         near_odd_warning=e.kind == NEAR_ODD,
     )
@@ -521,9 +551,11 @@ def tail_factor(
     from the row of the exponent record of w = 2m: one loop runs over
     that row under every policy, with or without a log.  The row grows
     only to the length a call needs: when the loop reaches its end
-    before the stop, it grows to the stop's bound, j = pi^2 n^2/|a| + 2
-    under OptimalFirstMin (the least term comes by then) or the Fixed
-    count, clamped to the cap _J_CAP, and doubles past that bound.
+    before the stop, it grows to the stop's bound, clamped to the cap
+    _J_CAP, and doubles past that bound.  The bound is the Fixed count,
+    or under OptimalFirstMin j = 1/|x| + 2 = pi^2 n^2/|a| + 2 with
+    x = -a/(pi^2 n^2), by which the least term comes; it is 2 where x
+    underflows to 0, as every term from j = 1 on is then 0.
     Unlike the generic k-sum, the series *includes* its least term:
     under OptimalFirstMin the last included index is the least-term
     index (the magnitudes are unimodal in j, so the first local
@@ -557,9 +589,11 @@ def tail_factor(
         # the real axis, where the complex loop's imaginary parts are zeros
         x: complex = -a.real / nn2
         t: complex = 1.0
+        total = _fsum
     else:
         x = -a / nn2
         t = 1.0 + 0j
+        total = _complex_fsum
     e = _exponent(2.0 * m)
     ratios = e.ratios
     kept = [t]
@@ -581,17 +615,16 @@ def tail_factor(
                 break
             kept.append(t)
         else:
-            # the row ends before the stop: grow it and go on.  The
-            # least term comes by about j = pi^2 n^2 / |a| + 2, a size
-            # that is inf at a subnormal a, so it is clamped to the cap
-            # before int(); past that size the row doubles
-            size = nn2 / abs(a) + 2.0 if least_rule else cap
+            # the row ends before the stop: grow it to the stop's bound
+            # and go on.  The bound is clamped to the cap before int(), as
+            # 1/|x| is inf at a tiny nonzero x; past it the row doubles
+            size = (1.0 / abs(x) + 2.0 if x else 2.0) if least_rule else cap
             ratios = e.ratios_upto(int(min(max(size, 2 * j), cap)))
             continue
         break
     if mags is not None:
         log.extend(f"j[n={n}]", range(j + 1), mags)
-    return _complex_fsum(kept), j, mag
+    return complex(total(kept)), j, mag
 
 
 def eval_even(
@@ -765,10 +798,10 @@ def _even_transform(
             # the geometric bound on the undecorated dual tail (derived in eval_even)
             fo_tail_n /= -math.expm1(-_PI2 * re_inv * (2 * nn + 1))
         # the rounding of the largest part, c = 3m + 4 (derived in eval_even)
-        rounding = (3 * m + 4) * sys.float_info.epsilon * max(map(abs, parts))
+        rounding = (3 * m + 4) * _EPS * max(map(abs, parts))
         return Evaluation(
             value=_complex_fsum(parts),
-            method=MethodChoice.EVEN_TRANSFORM if m else MethodChoice.CLASSICAL_PJ,
+            method=_EVEN_TRANSFORM if m else _CLASSICAL_PJ,
             terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
             err_estimate=fo_tail_j + fo_tail_n + skipped + rounding,
             term_log=TermLog() if log is None else log,
@@ -803,25 +836,25 @@ def evaluate(
     route, which logs its terms there (the direct route logs none);
     ``term_log`` is that log, or a fresh empty TermLog without one.
     """
-    if method is MethodChoice.DIRECT:
+    if method is _GENERIC:
+        return eval_generic(spec, policy, log=log)
+    if method is _DIRECT:
         res = direct_sum(spec, eps)
         return Evaluation(
             value=res.value,
-            method=MethodChoice.DIRECT,
+            method=_DIRECT,
             terms_used={"n_direct": res.n_terms},
             err_estimate=res.noise_floor(),
             term_log=TermLog() if log is None else log,
         )
-    if method is MethodChoice.GENERIC:
-        return eval_generic(spec, policy, log=log)
-    if method is MethodChoice.EVEN_TRANSFORM:
+    if method is _EVEN_TRANSFORM:
         kind, m = classify_exponent(spec.w)
         if kind != EVEN:
             raise MismatchError(
                 f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}"
             )
         return eval_even(spec, m, policy, n_max, log=log)
-    if method is MethodChoice.CLASSICAL_PJ:
+    if method is _CLASSICAL_PJ:
         if abs(spec.w) > INTEGER_TOL:
             raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
         return _even_transform(spec.a, 0, policy, n_max, log)

@@ -511,22 +511,21 @@ def test_fsum_keeps_each_component_through_cancellation():
 
 
 def test_truncate_start_value_survives_larger_terms(monkeypatch):
-    # the start value is the part a plain sum loses when the larger
-    # term comes in; the third term is held back by Fixed(2).  At a = 1
-    # the k-sum's terms are row[0], row[1] and row[2] / 2, so this row
-    # gives the terms big, -big and 5 + 5j.
+    # the start value, the head, is the part a plain sum loses when the
+    # larger term comes in; the third term is held back by Fixed(2).  At
+    # a = 1 the k-sum's terms are row[0], row[1] and row[2] / 2, so this
+    # row gives the terms big, -big and 5 + 5j.
     big = 1e16 - 1e16j
     row = (big, -big, 10.0 + 10.0j)
     e = SimpleNamespace(skip=None, tip=(row, 0.0))
-    kept = [1.0 - 1.0j]
     log = TermLog()
-    added, last, abs_kept = engine._k_sum(1.0 + 0j, e, Fixed(2), kept, log)
+    value, added, last, abs_kept = engine._k_sum(1.0 + 0j, e, Fixed(2), 1.0 - 1.0j, log)
     assert (added, last) == (2, abs(5.0 + 5.0j))
     # sum|kept|, added left to right
     assert abs_kept == abs(1.0 - 1.0j) + abs(big) + abs(-big)
-    assert kept == [1.0 - 1.0j, big, -big]
     assert log.series("k") == [(0, abs(big)), (1, abs(big)), (2, abs(5.0 + 5.0j))]
-    assert engine._complex_fsum(kept) == 1.0 - 1.0j
+    # the fsum of the kept terms 1 - 1j, big and -big
+    assert value == engine._complex_fsum([1.0 - 1.0j, big, -big]) == 1.0 - 1.0j
 
 
 def test_fsum_refuses_a_sum_past_binary64():
@@ -647,6 +646,35 @@ def test_tail_factor_on_the_real_axis_is_the_complex_loop_bit_for_bit(policy):
             value, j_used, first_omitted = tail_factor(a, m, n, policy, log=log)
             assert repr((value, j_used, first_omitted, log.entries)) == expected, (a, m, n)
             assert math.copysign(1.0, value.imag) == 1.0
+
+
+@pytest.mark.parametrize("policy", [OPTIMAL, Fixed(3)], ids=repr)
+def test_generic_on_the_real_axis_is_the_complex_loop_bit_for_bit(policy):
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(150):
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        odd = 2 * rng.randrange(0, 4) + 1
+        w = rng.choice((rng.uniform(0.05, 7.95), float(odd), odd + rng.uniform(-0.05, 0.05)))
+        if engine.classify_exponent(w)[0] != engine.EVEN:
+            cases.append((x, w))
+    for x, w in cases:
+        # complex arithmetic throughout, as the k-sum ran before the real
+        # axis had its float path
+        value, terms_used, err_estimate, entries = _reference_generic(SumSpec(complex(x), w), policy)
+        # a float, x + 0j and x - 0j
+        for a in (x, complex(x, 0.0), complex(x, -0.0)):
+            for log in (TermLog(), None):
+                ev = eval_generic(SumSpec(a, w), policy, log=log)
+                got = (ev.value, ev.terms_used, ev.err_estimate, ev.term_log.entries)
+                assert repr(got) == repr((value, terms_used, err_estimate, [] if log is None else entries)), (a, w)
+                assert math.copysign(1.0, ev.value.imag) == 1.0
+    # w = 2m + 1 with m > 100: the head's (-a)^m is taken in polar form
+    # and has an imaginary part on the real axis, so the complex loop runs
+    spec = SumSpec(0.5, 203.0)
+    ev = eval_generic(spec, policy)
+    assert ev.value.imag != 0.0
+    assert repr((ev.value, ev.terms_used, ev.err_estimate)) == repr(_reference_generic(spec, policy)[:3])
 
 
 # ----------------------------------------------------------------------
@@ -1028,6 +1056,44 @@ def test_ratio_row_grown_by_eight_threads_equals_the_sequential_row(m):
         sys.setswitchinterval(interval)
 
 
+class _PublishedFirst:
+    """A record's lock under which another grower has just published
+    ``longer`` as the record's ``slot``: what a grower meets when it
+    read the row before that one published."""
+
+    def __init__(self, record, slot, longer):
+        self.record, self.slot, self.longer = record, slot, longer
+
+    def __enter__(self):
+        setattr(self.record, self.slot, self.longer)
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_a_stale_shorter_copy_never_replaces_a_longer_row():
+    # the longer copy wins: the row stays as another grower published it
+    longer = engine._Exponent(1.25).upto(12)
+    stale = engine._Exponent(1.25)
+    stale.upto(4)
+    e = engine._Exponent(1.25)  # cold, outside the memo
+    e.upto(12)
+    tip = e.tip
+    assert e.publish(list(stale.tip[0]), stale.tip[1]) == longer
+    assert e.tip is tip
+    # a grower that read the empty row and grew it to 5 entries
+    e = engine._Exponent(1.25)
+    e._lock = _PublishedFirst(e, "tip", tip)
+    assert e.upto(4) == longer
+    assert e.tip is tip
+    # the same for the tail factor's ratios
+    longer = engine._Exponent(4.0).ratios_upto(40)
+    e = engine._Exponent(4.0)
+    e._lock = _PublishedFirst(e, "ratios", longer)
+    assert e.ratios_upto(10) == longer
+    assert e.ratios is longer
+
+
 def _per_term_tail(a, m, n, policy, log):
     # tail_factor as it ran with the term ratio worked out inside the
     # loop, kept here as the reference for the memoised ratio row
@@ -1104,18 +1170,20 @@ def test_tail_factor_grows_the_row_when_the_stop_lies_past_it(monkeypatch, logge
 
 
 def test_tail_factor_grows_the_row_only_to_the_length_a_call_needs(clear_memos):
-    # a cold row grows to the stop's bound: j = pi^2 n^2 / |a| + 2 under
-    # the least-term rule, clamped to the cap where that quotient is inf
-    # (a subnormal a), and the count under Fixed
+    # a cold row grows to the stop's bound: j = 1/|x| + 2 with
+    # x = -a / (pi^2 n^2) under the least-term rule, 2 where x underflows
+    # to 0 (a subnormal a), and the count under Fixed
     clear_memos()
     tail_factor(0.5, 3, 2)
-    assert len(engine._exponent(6.0).ratios) == int(math.pi**2 * 4 / 0.5 + 2.0) == 80
+    assert len(engine._exponent(6.0).ratios) == int(1.0 / (0.5 / (math.pi**2 * 4)) + 2.0) == 80
     # a call that stops inside the row leaves it as it is
     tail_factor(5e-324, 3, 1)
     tail_factor(5.0, 3, 1, Fixed(80))
     assert len(engine._exponent(6.0).ratios) == 80
-    tail_factor(5e-324, 5, 1)
-    assert len(engine._exponent(10.0).ratios) == engine._J_CAP
+    for a in (5e-324, complex(5e-324, 5e-324)):
+        clear_memos()
+        assert tail_factor(a, 5, 1)[1] == 2
+        assert len(engine._exponent(10.0).ratios) == 2
     tail_factor(1.0, 4, 1, Fixed(40))
     assert len(engine._exponent(8.0).ratios) == 40
     with pytest.raises(DomainError, match="2\\^53"):
