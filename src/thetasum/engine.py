@@ -29,14 +29,16 @@ math.fsum call per part: ``_fsum`` for float terms, ``_complex_fsum``
 (``_fsum`` over the real and the imaginary parts apart) for complex
 ones.  So each value is the correctly rounded sum of its terms, as the
 oracle's is; a sum that is not finite raises PrecisionError.  A plain
-binary64 running sum serves the stop tests only.  For a real a
-(Im(a) == 0) the generic k-sum and the tail-factor series run in
-floats: with every imaginary part a signed zero, each complex
-operation they make rounds its real part as the float operation does,
-so the terms, the stop decisions and the value are those of the
-complex loop bit for bit, and the value's imaginary part is +0.0
-(``_k_sum``, ``tail_factor``; the oracle does the same).  The even
-transformation's own parts are complex on the real axis too.
+binary64 running sum, added left to right, serves the stop tests only.
+For a real a (Im(a) == 0) the generic k-sum, the tail-factor series
+and the even transformation's parts run in floats (``_k_sum``,
+``tail_factor``, ``_even_transform``; the oracle does the same).
+With every imaginary part a signed zero, each complex
+operation they replace rounds its real part as the float operation
+does, so the terms, the stop decisions, the value, the estimate and
+the refusals are those of complex arithmetic bit for bit, and the
+value's imaginary part is +0.0; where the complex arithmetic turns an
+overflowed product into NaN, so does the float path.
 A route logs term magnitudes only into a TermLog that its caller passes
 (the ``log`` keyword of evaluate, eval_generic, eval_even and
 tail_factor); without one it does no log work.  With one, the
@@ -58,8 +60,8 @@ the even route's Gamma(1/2 - m); the k-sum's row (-1)^k zeta(w - 2k),
 which grows on demand, in a local copy published once per call
 (zeta_real while w - 2k >= 0, the functional equation as a recurrence
 in k past that); and, for w = 2m, the tail factor's row of term ratios
-(m + j)(m + 1/2 + j)/(j + 1), which grows only to the length a call
-needs and is published the same way.
+(m + j)(m + 1/2 + j)/(j + 1), which grows by doubling only to about
+the length a call needs and is published the same way.
 A value does not depend on what the cache holds.  Each series stops at
 a fixed cap (_K_CAP, _J_CAP, _N_CAP); a caller caps a run further with
 a Fixed policy, or the dual sum with n_max.
@@ -550,12 +552,14 @@ def tail_factor(
     intermediates appear.  The ratios depend on m alone and are read
     from the row of the exponent record of w = 2m: one loop runs over
     that row under every policy, with or without a log.  The row grows
-    only to the length a call needs: when the loop reaches its end
-    before the stop, it grows to the stop's bound, clamped to the cap
-    _J_CAP, and doubles past that bound.  The bound is the Fixed count,
-    or under OptimalFirstMin j = 1/|x| + 2 = pi^2 n^2/|a| + 2 with
-    x = -a/(pi^2 n^2), by which the least term comes; it is 2 where x
-    underflows to 0, as every term from j = 1 on is then 0.
+    only to about the length a call needs, clamped to the cap _J_CAP:
+    when the loop reaches its end before the stop, the row grows to
+    the Fixed count, or under OptimalFirstMin doubles from 16 entries
+    up to the bound j = 1/|x| + 2 = pi^2 n^2/|a| + 2 with
+    x = -a/(pi^2 n^2), by which the least term comes (2 where x
+    underflows to 0, as every term from j = 1 on is then 0), and
+    doubles on past that bound.  Doubling stops a cold row within twice
+    the length of a series whose terms underflow long before the bound.
     Unlike the generic k-sum, the series *includes* its least term:
     under OptimalFirstMin the last included index is the least-term
     index (the magnitudes are unimodal in j, so the first local
@@ -615,11 +619,18 @@ def tail_factor(
                 break
             kept.append(t)
         else:
-            # the row ends before the stop: grow it to the stop's bound
-            # and go on.  The bound is clamped to the cap before int(), as
-            # 1/|x| is inf at a tiny nonzero x; past it the row doubles
-            size = (1.0 / abs(x) + 2.0 if x else 2.0) if least_rule else cap
-            ratios = e.ratios_upto(int(min(max(size, 2 * j), cap)))
+            # the row ends before the stop: grow it and go on.  Under the
+            # least-term rule it doubles from 16 entries up to the stop's
+            # bound, as the terms may underflow long before it, and
+            # doubles on past the bound; under Fixed it grows to the
+            # count.  The size is clamped to the cap before int(), as
+            # 1/|x| is inf at a tiny nonzero x
+            if least_rule:
+                bound = 1.0 / abs(x) + 2.0 if x else 2.0
+                size = min(max(2 * j, 16), bound) if j + 1 <= bound else 2 * j
+            else:
+                size = cap
+            ratios = e.ratios_upto(int(min(size, cap)))
             continue
         break
     if mags is not None:
@@ -726,30 +737,54 @@ def eval_even(
 def _even_transform(
     a: complex, m: int, policy: TruncationPolicy, n_max: Optional[int], log: Optional[TermLog]
 ) -> Evaluation:
-    # eval_even at m >= 1, the classical identity at m = 0
+    # eval_even at m >= 1, the classical identity at m = 0.
+    #
+    # On the real axis the arithmetic runs on z = Re(a) in floats, as
+    # tail_factor's does, and gives the complex arithmetic's parts, stop
+    # decisions, value and refusals bit for bit, with +0.0 as the value's
+    # imaginary part: each power, quotient and product of numbers whose
+    # imaginary parts are signed zeros has the float operation's real
+    # part, and cmath.exp(x + 0j) is math.exp(x).  A refusal prints the
+    # complex a.
+    real = a.imag == 0.0
+    if real:
+        z: complex = a.real
+        apow: complex = 1.0  # z^k / k!
+        weight = math.exp
+        total = _fsum
+        zero: complex = 0.0
+    else:
+        z = a
+        apow = 1.0 + 0j
+        weight = cmath.exp
+        total = _complex_fsum
+        zero = 0j
     try:
-        # the algebraic part, the k-terms and the dual terms, in one sum
+        # the algebraic part, the k-terms and the dual terms, in one sum;
+        # the running sum, for the stop tests, is added left to right
+        # whatever the Python version (sum() compensates from 3.12 on)
         e = _exponent(2.0 * m)
-        parts = [e.const * a ** (m - 0.5)]
+        running = e.const * z ** (m - 0.5)
+        parts = [running]
         row = e.upto(m)
-        apow: complex = 1.0 + 0j  # a^k / k!
         k = 0
         while True:
-            parts.append(row[k] * apow)
+            term = row[k] * apow
+            parts.append(term)
+            running += term
             if k == m:
                 break
             k += 1
-            apow *= a / k
+            apow *= z / k
         if log is not None:
             log.extend("k", range(m + 1), [abs(t) for t in parts[1:]])
-        running = sum(parts)
 
-        pref = (a / math.pi) ** (2 * m - 0.5)
+        pref = (z / math.pi) ** (2 * m - 0.5)
         if m & 1:
             pref = -pref
         abs_pref = abs(pref)
-        re_inv = (1.0 / a).real
-        abs_a = abs(a)
+        re_inv = (1.0 / z).real
+        abs_a = abs(z)
         auto = n_max is None
         ncap = _N_CAP if auto else min(_require_positive_int(n_max, "n_max"), _N_CAP)
         # the skip rule of eval_even: a bound below the floor skips a factor
@@ -773,10 +808,16 @@ def _even_transform(
             if w_mag and bound >= skip_rel * size:
                 # at m = 0 the factor is exactly 1: (m)_j = 0 for j >= 1
                 ups, j_used, fo = tail_factor(a, m, n, policy, log=log) if m else (1.0, 0, 0.0)
-                term = pref * ups * cmath.exp(-nn2 / a) / n ** (2 * m)
+                if real:
+                    ups = ups.real
+                term = pref * ups * weight(-nn2 / z) / n ** (2 * m)
+                if real and math.isinf(term):
+                    # pref * ups overflowed: complex arithmetic multiplies
+                    # that inf by a zero imaginary part, and its term is NaN
+                    term = math.nan
             else:
                 # the term adds 0 and its bound joins err_estimate
-                term, j_used, fo = 0j, 0, 0.0
+                term, j_used, fo = zero, 0, 0.0
                 skipped += bound
             if log is not None:
                 log.log("n", n, abs(term))
@@ -800,7 +841,7 @@ def _even_transform(
         # the rounding of the largest part, c = 3m + 4 (derived in eval_even)
         rounding = (3 * m + 4) * _EPS * max(map(abs, parts))
         return Evaluation(
-            value=_complex_fsum(parts),
+            value=complex(total(parts)),
             method=_EVEN_TRANSFORM if m else _CLASSICAL_PJ,
             terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
             err_estimate=fo_tail_j + fo_tail_n + skipped + rounding,

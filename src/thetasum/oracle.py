@@ -159,8 +159,11 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     has the real part -Re(a) k^2 and a signed zero as its imaginary
     part, cmath.exp(x + 0j) is exp(x) cos(0) = exp(x) with a signed
     zero beside it, and dividing by the real k^w divides each part.
-    The imaginary parts, all zeros, sum to +0.0 after the leading +0.0,
-    so the value's imaginary part is +0.0 either way.
+    The real loop collects no imaginary parts: the complex loop's, all
+    zeros, sum to +0.0 after the leading +0.0, so the value's imaginary
+    part is that +0.0.  Every float term is >= +0.0, so it joins the
+    sum |term| as it is, where the complex loop adds abs(term), the
+    same float.
     """
     eps = float(eps)
     if not eps >= _EPS_FLOOR:
@@ -176,20 +179,29 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
             f"direct summation at a = {a}, w = {w} needs {n}^{w}, past binary64"
         ) from None
     # on the real axis a complex term's imaginary part is a signed zero
-    neg_a, exp = (-re_a, math.exp) if a.imag == 0.0 else (-a, cmath.exp)
+    real = a.imag == 0.0
+    neg_a, exp = (-re_a, math.exp) if real else (-a, cmath.exp)
     # real and imaginary parts still to be summed; the leading +0.0
-    # keeps an all-zero part from summing to -0.0
+    # keeps an all-zero part from summing to -0.0.  On the real axis
+    # no term joins im_parts
     re_parts = [0.0]
     im_parts = [0.0]
+    # plain left-to-right binary64, as the rounding budget assumes
     abs_acc = 0.0
     for start in range(1, n + 1, _BLOCK):
         stop = min(start + _BLOCK, n + 1)
-        for k in range(start, stop):
-            term = exp(neg_a * (k * k)) / math.pow(k, w)
-            re_parts.append(term.real)
-            im_parts.append(term.imag)
-            # plain left-to-right binary64, as the rounding budget assumes
-            abs_acc += abs(term)
+        if real:
+            for k in range(start, stop):
+                term = exp(neg_a * (k * k)) / math.pow(k, w)
+                re_parts.append(term)
+                # every term is >= +0.0, so it is its own abs
+                abs_acc += term
+        else:
+            for k in range(start, stop):
+                term = exp(neg_a * (k * k)) / math.pow(k, w)
+                re_parts.append(term.real)
+                im_parts.append(term.imag)
+                abs_acc += abs(term)
         if stop <= n:
             re_parts = _condense(re_parts)
             im_parts = _condense(im_parts)

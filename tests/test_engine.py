@@ -677,6 +677,121 @@ def test_generic_on_the_real_axis_is_the_complex_loop_bit_for_bit(policy):
     assert repr((ev.value, ev.terms_used, ev.err_estimate)) == repr(_reference_generic(spec, policy)[:3])
 
 
+def _reference_even(a, m, policy, n_max, log):
+    # the even transformation in complex arithmetic throughout, as it
+    # ran before the real axis had its float path; returns what
+    # _even_transform does, or the type and message of its refusal
+    a = complex(a)
+    try:
+        e = engine._exponent(2.0 * m)
+        parts = [e.const * a ** (m - 0.5)]
+        row = e.upto(m)
+        apow, k = 1.0 + 0j, 0
+        while True:
+            parts.append(row[k] * apow)
+            if k == m:
+                break
+            k += 1
+            apow *= a / k
+        if log is not None:
+            log.extend("k", range(m + 1), [abs(t) for t in parts[1:]])
+        running = 0
+        for t in parts:
+            running += t
+        pref = (a / math.pi) ** (2 * m - 0.5)
+        if m & 1:
+            pref = -pref
+        abs_pref, re_inv, abs_a = abs(pref), (1.0 / a).real, abs(a)
+        auto = n_max is None
+        ncap = engine._N_CAP if auto else min(n_max, engine._N_CAP)
+        skip_rel = engine._REL_FLOOR if auto and isinstance(policy, OptimalFirstMin) else 0.0
+        n_used, fo_j_n1, j_used_n1, skipped = 0, 0.0, 0, 0.0
+        for n in range(1, ncap + 1):
+            nn2 = engine._PI2 * n * n
+            w_mag = math.exp(-nn2 * re_inv)
+            raw = w_mag / n ** (2 * m)
+            size = abs(running)
+            last = auto and raw < engine._REL_FLOOR * size
+            bound = abs_pref * raw * (1.0 + nn2 / abs_a) if w_mag else 0.0
+            if w_mag and bound >= skip_rel * size:
+                ups, j_used, fo = tail_factor(a, m, n, policy, log=log) if m else (1.0, 0, 0.0)
+                term = pref * ups * cmath.exp(-nn2 / a) / n ** (2 * m)
+            else:
+                term, j_used, fo = 0j, 0, 0.0
+                skipped += bound
+            if log is not None:
+                log.log("n", n, abs(term))
+            parts.append(term)
+            running += term
+            n_used = n
+            if n == 1:
+                fo_j_n1, j_used_n1 = fo, j_used
+            if last or not w_mag:
+                break
+        expo1 = -engine._PI2 * re_inv
+        fo_tail_j = abs_pref * fo_j_n1 * (math.exp(expo1) if expo1 > -745.0 else 0.0)
+        nn = n_used + 1
+        expon = -engine._PI2 * nn * nn * re_inv
+        fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
+        if fo_tail_n:
+            fo_tail_n /= -math.expm1(-engine._PI2 * re_inv * (2 * nn + 1))
+        rounding = (3 * m + 4) * sys.float_info.epsilon * max(map(abs, parts))
+        value = engine._complex_fsum(parts)
+        return repr((value, {"k": m + 1, "n": n_used, "j": j_used_n1}, fo_tail_j + fo_tail_n + skipped + rounding))
+    except (OverflowError, ZeroDivisionError):
+        return f"PrecisionError: the transformation at a = {a}, w = {2 * m} overflows binary64"
+    except Exception as exc:  # a refusal is an outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _even_outcome(a, m, policy, n_max, log):
+    # m >= 1 through eval_even, m = 0 through evaluate's pj route
+    try:
+        if m:
+            ev = eval_even(SumSpec(a, 2.0 * m), m, policy, n_max, log=log)
+        else:
+            ev = evaluate(SumSpec(a, 0.0), MethodChoice.CLASSICAL_PJ, policy, n_max, log=log)
+    except Exception as exc:  # a refusal is an outcome
+        return f"{type(exc).__name__}: {exc}", None
+    return repr((ev.value, ev.terms_used, ev.err_estimate)), ev
+
+
+@pytest.mark.parametrize("policy", [OPTIMAL, Fixed(3)], ids=repr)
+def test_even_and_pj_on_the_real_axis_are_the_complex_loop_bit_for_bit(policy):
+    rng = random.Random(20261022)
+    xs = [row.a for row in W4_ROWS]
+    xs += [math.exp(rng.uniform(math.log(1e-3), math.log(20.0))) for _ in range(150)]
+    cases = [(x, m, n_max) for x in xs for m in range(9) for n_max in (None, 1, 3)]
+    # refused where (a/pi)^(2m - 1/2) overflows, or a/pi underflows to 0
+    # at m = 0; the other m answer
+    cases += [(x, m, None) for x in (1e200, 5e-324) for m in range(9)]
+    # pref * tail_factor overflows under Fixed(3) at m = 170: the complex
+    # term is NaN, not inf, so n_max None goes on to the n whose n^(2m)
+    # overflows and refuses with that message
+    big = 24.938364202688767
+    cases += [(big, 170, None), (big, 150, None)]
+    refusals = set()
+    for x, m, n_max in cases:
+        # a float, x + 0j and x - 0j, each against the complex loop at the
+        # same a, whose refusals print a with the sign of its zero
+        for a in (x, complex(x, 0.0), complex(x, -0.0)):
+            ref_log = TermLog()
+            expected = _reference_even(a, m, policy, n_max, ref_log)
+            for log in (TermLog(), None):
+                got, ev = _even_outcome(a, m, policy, n_max, log)
+                assert got == expected, (a, m, n_max)
+                if ev is None:
+                    refusals.add((x, m))
+                    continue
+                assert ev.term_log.entries == ([] if log is None else ref_log.entries), (a, m, n_max)
+                assert math.copysign(1.0, ev.value.imag) == 1.0
+    expected_refusals = {(1e200, m) for m in range(2, 9)} | {(5e-324, 0)}
+    if policy == Fixed(3):
+        # at m = 1 the sum of the parts overflows too
+        expected_refusals |= {(1e200, 1), (big, 170)}
+    assert refusals == expected_refusals
+
+
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
@@ -1151,7 +1266,8 @@ def test_tail_factor_over_the_ratio_row_is_the_per_term_loop_bit_for_bit(clear_m
 @pytest.mark.parametrize("logged", [True, False])
 def test_tail_factor_grows_the_row_when_the_stop_lies_past_it(monkeypatch, logged):
     # the first growth hands the loop 3 ratios, far short of the least
-    # term at a = 0.1 (j0 = 96): the loop grows the row and goes on
+    # term at a = 0.1 (j0 = 96): the loop grows the row and goes on,
+    # doubling from 16 up to the stop's bound pi^2/0.1 + 2
     record = engine._Exponent(4.0)  # cold, outside the memo
     grow = engine._Exponent.ratios_upto
     counts = []
@@ -1164,18 +1280,24 @@ def test_tail_factor_grows_the_row_when_the_stop_lies_past_it(monkeypatch, logge
     monkeypatch.setattr(engine._Exponent, "ratios_upto", short_first)
     monkeypatch.setattr(engine, "_exponent", lambda w: record)
     got = _tail_outcome(tail_factor, 0.1, 2, 1, OPTIMAL, logged)
-    assert len(counts) == 2
+    assert counts == [16, 16, 32, 64, int(math.pi**2 / 0.1 + 2.0)] == [16, 16, 32, 64, 100]
     assert got == _tail_outcome(_per_term_tail, 0.1, 2, 1, OPTIMAL, logged)
     assert tail_factor(0.1, 2, 1)[1] - 1 == W4_ROWS[0].j0
 
 
 def test_tail_factor_grows_the_row_only_to_the_length_a_call_needs(clear_memos):
-    # a cold row grows to the stop's bound: j = 1/|x| + 2 with
-    # x = -a / (pi^2 n^2) under the least-term rule, 2 where x underflows
-    # to 0 (a subnormal a), and the count under Fixed
+    # a cold row doubles from 16 up to the stop's bound: j = 1/|x| + 2
+    # with x = -a / (pi^2 n^2) under the least-term rule, 2 where x
+    # underflows to 0 (a subnormal a); under Fixed it grows to the count
     clear_memos()
     tail_factor(0.5, 3, 2)
     assert len(engine._exponent(6.0).ratios) == int(1.0 / (0.5 / (math.pi**2 * 4)) + 2.0) == 80
+    # the terms underflow, or reach their least, long before the bound
+    # pi^2/a: the row stays within twice the length the call used
+    for a, j_used in ((1e-300, 3), (1e-200, 3), (1e-100, 5), (1e-20, 18), (1e-3, 156)):
+        clear_memos()
+        assert tail_factor(a, 7, 1)[1] == j_used
+        assert len(engine._exponent(14.0).ratios) <= 2 * max(j_used, 16)
     # a call that stops inside the row leaves it as it is
     tail_factor(5e-324, 3, 1)
     tail_factor(5.0, 3, 1, Fixed(80))
