@@ -491,21 +491,28 @@ def eval_generic(
     Fixed it is the first omitted term.  The scan also stops once terms
     drop below 1e-18 of the accumulated value: past that point further
     terms cannot change the result at binary64.
-    Raises PrecisionError when a term or the sum overflows binary64
-    (large w or |a|).
+    Raises PrecisionError when a term, the sum or err_estimate
+    overflows binary64 (large w or |a|).
 
     err_estimate adds the rounding term c eps sum|kept terms|, the
     singular term included, with eps = 2^-52 and c = 8.  With
     u = eps/2, each kept term reaches math.fsum with a relative error
-    of at most: its coefficient, gamma_real in the singular term and
-    zeta_real or the row's recurrence in a k-term, 8u (measured
-    against mpmath); the power a^((w-1)/2), through hypot, pow and one
-    phase product, 3u; each factor a/k of a^k/k! and the product with
-    the coefficient, 3u.  math.fsum rounds the sum once, u.  For the
-    leading terms, which carry the sum, that is 14u + u = 7.5 eps per
-    unit of sum|t|, hence c = 8.  A later term carries 3u more per
-    index, but it has shrunk by more than that: the term ratio is about
-    k |a| / pi^2 where the expansion holds.
+    of at most its coefficient's, 8u in the budget, plus: the power
+    a^((w-1)/2), through hypot, pow and one phase product, 3u; each
+    factor a/k of a^k/k! and the product with the coefficient, 3u.
+    math.fsum rounds the sum once, u.  For the leading terms, which
+    carry the sum, that is 14u + u = 7.5 eps per unit of sum|t|, hence
+    c = 8.  A later term carries 3u more per index, but it has shrunk
+    by more than that: the term ratio is about k |a| / pi^2 where the
+    expansion holds.  Measured against 40-digit mpmath, the singular
+    term's coefficient gamma_real((1 - w)/2), math.gamma at the rounded
+    argument, reached 8.3u over 20000 seeded w in (0, 7] at least 0.05
+    from the odd integers; with the power's 3u and no factor a/k that
+    term stays within 7.5 eps.  The Lanczos kernel it replaced reached
+    15.3u there.  The row's coefficients exceed the budget: over 1766
+    seeded w in (0.05, 8) at least 0.06 from the integers, its
+    zeta_real entries reached 9.5u and its functional-equation entries
+    12.1u for k0 <= k <= k0 + 2.
 
     With a ``log``, every computed k-term, the first omitted one
     included, is logged under the name ``k`` and ``term_log`` is that
@@ -517,6 +524,10 @@ def eval_generic(
     e = _exponent(w)
     try:
         value, included, first_omitted, abs_kept = _k_sum(a, e, policy, singular_term(spec), log)
+        err_estimate = first_omitted + _ROUNDING * abs_kept
+        if not math.isfinite(err_estimate):
+            # the first omitted term overflows under Fixed at a huge a
+            raise OverflowError
     except OverflowError:
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
@@ -525,7 +536,7 @@ def eval_generic(
         value=value,
         method=_GENERIC,
         terms_used={"k": included},
-        err_estimate=first_omitted + _ROUNDING * abs_kept,
+        err_estimate=err_estimate,
         term_log=TermLog() if log is None else log,
         near_odd_warning=e.kind == NEAR_ODD,
     )
@@ -694,8 +705,9 @@ def eval_even(
     bound.  Where Re(1/a) is small (a near the imaginary axis, or huge)
     the weights barely decay and the dual sum stops at its cap; that
     divisor makes the estimate cover the terms past the cap, which the
-    first of them alone does not.  Where the divisor is 0 in binary64
-    the route refuses with PrecisionError.
+    first of them alone does not.  Where the divisor is 0 in binary64,
+    or the estimate overflows to inf, the route refuses with
+    PrecisionError.
 
     The rounding: math.fsum rounds the sum once, so the error is what
     the parts bring in, and where they cancel the largest brings the
@@ -840,11 +852,16 @@ def _even_transform(
             fo_tail_n /= -math.expm1(-_PI2 * re_inv * (2 * nn + 1))
         # the rounding of the largest part, c = 3m + 4 (derived in eval_even)
         rounding = (3 * m + 4) * _EPS * max(map(abs, parts))
+        err_estimate = fo_tail_j + fo_tail_n + skipped + rounding
+        if not math.isfinite(err_estimate):
+            # e.g. the dual tail's bound at a huge real a, which divides
+            # by about 1/a: an estimate of inf bounds nothing
+            raise OverflowError
         return Evaluation(
             value=complex(total(parts)),
             method=_EVEN_TRANSFORM if m else _CLASSICAL_PJ,
             terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
-            err_estimate=fo_tail_j + fo_tail_n + skipped + rounding,
+            err_estimate=err_estimate,
             term_log=TermLog() if log is None else log,
         )
     except (OverflowError, ZeroDivisionError):

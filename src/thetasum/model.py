@@ -161,7 +161,8 @@ class Evaluation(_Mutable):
 
     ``err_estimate`` adds the first omitted term of each truncated
     series (a heuristic), the bounds of skipped terms and the rounding
-    of kept ones; the direct route gives its noise floor.  Never NaN.
+    of kept ones; the direct route gives its noise floor.  Finite and
+    non-negative: a route whose estimate overflows refuses instead.
     ``near_odd_warning`` flags non-integer exponents within 0.05 of an
     odd integer, where the generic expansion suffers pole cancellation
     and accuracy guarantees are void.  ``term_log`` is the TermLog the
@@ -177,8 +178,8 @@ class Evaluation(_Mutable):
     ):
         if not cmath.isfinite(complex(value)):
             raise DomainError("Evaluation value must be finite")
-        if not err_estimate >= 0.0:  # NaN included
-            raise DomainError("err_estimate must be non-negative")
+        if not 0.0 <= err_estimate < math.inf:  # NaN included
+            raise DomainError("err_estimate must be finite and non-negative")
         if min(terms_used.values(), default=0) < 0:
             raise DomainError("terms_used counts must be non-negative")
         self.value = value

@@ -380,6 +380,8 @@ def test_generic_singular_overflow_is_a_precision_error(a):
     [
         (24224.5 - 16702.4j, 20.8, 185),  # the terms' sum overflows
         (64.5112 - 63.4253j, 41.9328, 252),  # a term's magnitude overflows
+        (1e100, 3.0, 3),  # only the first omitted term, so err_estimate, overflows
+        (1e10 + 3e9j, 3.0, 30),
     ],
 )
 def test_generic_k_terms_past_binary64_are_a_precision_error(a, w, count):
@@ -736,8 +738,11 @@ def _reference_even(a, m, policy, n_max, log):
         if fo_tail_n:
             fo_tail_n /= -math.expm1(-engine._PI2 * re_inv * (2 * nn + 1))
         rounding = (3 * m + 4) * sys.float_info.epsilon * max(map(abs, parts))
+        err_estimate = fo_tail_j + fo_tail_n + skipped + rounding
+        if not math.isfinite(err_estimate):
+            raise OverflowError
         value = engine._complex_fsum(parts)
-        return repr((value, {"k": m + 1, "n": n_used, "j": j_used_n1}, fo_tail_j + fo_tail_n + skipped + rounding))
+        return repr((value, {"k": m + 1, "n": n_used, "j": j_used_n1}, err_estimate))
     except (OverflowError, ZeroDivisionError):
         return f"PrecisionError: the transformation at a = {a}, w = {2 * m} overflows binary64"
     except Exception as exc:  # a refusal is an outcome
@@ -785,10 +790,9 @@ def test_even_and_pj_on_the_real_axis_are_the_complex_loop_bit_for_bit(policy):
                     continue
                 assert ev.term_log.entries == ([] if log is None else ref_log.entries), (a, m, n_max)
                 assert math.copysign(1.0, ev.value.imag) == 1.0
-    expected_refusals = {(1e200, m) for m in range(2, 9)} | {(5e-324, 0)}
-    if policy == Fixed(3):
-        # at m = 1 the sum of the parts overflows too
-        expected_refusals |= {(1e200, 1), (big, 170)}
+    # at 1e200, m = 1 and at big, m = 170 the parts' sum overflows under
+    # Fixed(3), and under OPTIMAL err_estimate does
+    expected_refusals = {(1e200, m) for m in range(1, 9)} | {(5e-324, 0), (big, 170)}
     assert refusals == expected_refusals
 
 
@@ -1087,8 +1091,8 @@ def test_a_new_exponent_is_classified_once(monkeypatch, clear_memos):
 def test_even_head_constant_is_the_exact_recurrence():
     # Gamma(1/2 - m) / 2 by the downward recurrence from sqrt(pi), w = 0
     # (pj) included, where classify_exponent gives no class; gamma_real
-    # is 1 ulp off sqrt(pi) at 1/2 and differs from the recurrence at
-    # most m below 200
+    # gives sqrt(pi) at 1/2 but differs from the recurrence at most m
+    # below 200
     denom = 1.0
     for m in range(200):
         if m:
@@ -1418,7 +1422,7 @@ def test_replace_validates_as_construction_does():
 
 
 def test_evaluation_validation():
-    for value, err_estimate in ((complex("inf"), 0.0), (1.0, math.nan)):
+    for value, err_estimate in ((complex("inf"), 0.0), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(DomainError):
             Evaluation(
                 value=value,

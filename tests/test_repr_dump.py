@@ -29,6 +29,9 @@ def test_two_runs_print_the_same_lines():
     assert len(lines) > 2000
     for kind in ("route direct", "route generic", "route even", "route pj", "tail_factor", "direct_sum"):
         assert any(line.startswith(kind + " ") for line in lines), kind
+    # the special functions' own grid, which --points does not shrink
+    for kind in ("gamma_real", "zeta_real", "digamma_int"):
+        assert any(line.startswith(f"specfun {kind} ") for line in lines), kind
     # answers and refusals both appear
     assert any(" log=" in line for line in lines)
     assert any("| PrecisionError: " in line for line in lines)

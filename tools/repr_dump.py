@@ -14,7 +14,12 @@ message of its refusal.  The grid:
   direct route ignores policy and n_max and runs once);
 * ``tail_factor(a, m, n, policy)``, m in 1, 2, 4, 8 and n in 1, 2, 3,
   under the same policies;
-* ``direct_sum`` at eps 1e-16 and 1e-10, with ``value.imag``.
+* ``direct_sum`` at eps 1e-16 and 1e-10, with ``value.imag``;
+* the special functions, on a grid of their own that ``--points``
+  does not touch: ``gamma_real`` at seeded x in [-170, 172], at
+  poles and 1e-13 and 1e-11 either side of them, and at 171.5 to 172,
+  where binary64 ends; ``zeta_real`` at seeded s in [-170, 90] and next to s = 0,
+  s = 1 and the trivial zeros; ``digamma_int(m)`` for m = 0..170.
 
 A route or ``tail_factor`` case runs twice and prints two lines: first
 with a TermLog, then without one, the path that table1, sweep and
@@ -28,7 +33,7 @@ and a BLAKE2b digest of the repr of its entries, which keeps a line
 short while any moved magnitude still changes it.
 
 ``--points N`` takes the first N moduli of the seeded grid (default
-125, about 128k lines); the grid does not depend on N otherwise.
+125, 124,525 lines); the grid does not depend on N otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from thetasum import (
 )
 from thetasum.engine import tail_factor
 from thetasum.reference import W4_ROWS
+from thetasum.specfun import digamma_int, gamma_real, zeta_real
 
 POLICIES = (OPTIMAL, Fixed(3), Fixed(8))
 N_MAXES = (None, 1, 3)
@@ -123,6 +129,30 @@ def _direct_sum(spec, eps) -> str:
     return f"{got} {_log_repr(TermLog())}" if answered else got
 
 
+def specfun_arguments() -> tuple[list[float], list[float]]:
+    """The x of ``gamma_real`` and the s of ``zeta_real`` in the dump."""
+    rng = random.Random(SEED)
+    xs = [rng.uniform(-170.0, 172.0) for _ in range(400)] + [rng.uniform(-3.0, 5.0) for _ in range(100)]
+    for k in (0.0, -1.0, -2.0, -7.0, -170.0):
+        xs += [k, k - 1e-13, k + 1e-13, k - 1e-11, k + 1e-11]
+    xs += [0.5, 1.0, 2.0, 171.5, 171.62, 171.63, 172.0]
+    ss = [rng.uniform(-170.0, 90.0) for _ in range(400)]
+    ss += [rng.uniform(-1.0 / 64.0, 1.0 / 64.0) for _ in range(20)]
+    ss += [0.0, 1.0 / 64.0, -1.0 / 64.0, 0.5, -0.5, 1.0 - 1e-13, 1.0 + 1e-11, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]
+    ss += [-2.0, -4.0, -168.0, -2.0 + 1e-9, -169.5, -170.0, -170.5, -172.0]
+    return xs, ss
+
+
+def _specfun_lines():
+    xs, ss = specfun_arguments()
+    for x in xs:
+        yield f"specfun gamma_real x={x!r} | {_run(lambda _: gamma_real(x), None)[0]}"
+    for s in ss:
+        yield f"specfun zeta_real s={s!r} | {_run(lambda _: zeta_real(s), None)[0]}"
+    for m in range(171):
+        yield f"specfun digamma_int m={m} | {digamma_int(m)!r}"
+
+
 def lines(points: int):
     """Yield the dump's lines for the first ``points`` moduli."""
     grid = a_grid(points)
@@ -149,6 +179,7 @@ def lines(points: int):
         for w in ALL_W:
             for eps in (1e-16, 1e-10):
                 yield f"direct_sum a={a!r} w={w!r} eps={eps!r} | {_direct_sum(SumSpec(a, w), eps)}"
+    yield from _specfun_lines()
 
 
 def main(argv=None) -> int:
