@@ -12,8 +12,8 @@ A method is ``auto`` or the value of a ``MethodChoice``; ``auto`` is
 the classical identity at w = 0, the even transformation at even
 integer w and the generic expansion otherwise.  Every input is
 checked before the first line of output is written, so a rejected
-input prints nothing and leaves no file; a ``direct`` sweep row is its
-own oracle.
+input prints nothing and leaves no file.  A sweep sums each a's oracle
+once, and a ``direct`` row is that oracle.
 
 Exit codes: 0 success, 1 failed verification check, 2 precondition
 violation, 3 direct summation infeasible, 4 unwritable output path.
@@ -210,34 +210,52 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _sweep_row(spec: SumSpec, method: MethodChoice, policy: TruncationPolicy, eps: float) -> list[str]:
-    ev = evaluate(spec, method, policy, eps=eps)
-    # a direct row is its own oracle
-    ref = ev if method is MethodChoice.DIRECT else _oracle(spec, eps)
-    used = ev.terms_used
-    terms_k, terms_j, terms_n = (str(used[key]) if key in used else "" for key in ("k", "j", "n"))
-    return [
-        _g17(spec.a.real),
-        _g17(spec.a.imag),
-        _g17(spec.w),
-        method.value,
-        _g17(ev.value.real),
-        _g17(ev.value.imag),
-        _g17(ev.err_estimate),
-        _g17(abs(ev.value - ref.value)) if ref is not None else "",
-        terms_k,
-        terms_j,
-        terms_n,
-        # j0 of the n = 1 tail factor; j is 0 (or absent) when none ran
-        str(used["j"] - 1) if used.get("j") else "",
-    ]
+def _sweep_rows(
+    spec: SumSpec, methods: list[MethodChoice], policy: TruncationPolicy, eps: float
+) -> list[list[str]]:
+    """The rows of one a, one per method in order, sharing one direct
+    sum: the first row made runs ``evaluate(spec, DIRECT)`` after its own
+    route, and a direct row is that Evaluation.  Where the direct sum is
+    refused, a direct row raises the refusal again and the other rows
+    leave the oracle column empty."""
+    ref = None  # the direct Evaluation, or the refusal it raised
+    rows = []
+    for method in methods:
+        ev = None if method is MethodChoice.DIRECT else evaluate(spec, method, policy, eps=eps)
+        if ref is None:
+            try:
+                ref = evaluate(spec, MethodChoice.DIRECT, policy, eps=eps)
+            except (ConvergenceError, PrecisionError) as exc:
+                ref = exc
+        if ev is None:
+            if isinstance(ref, Exception):
+                raise ref
+            ev = ref
+        used = ev.terms_used
+        terms_k, terms_j, terms_n = (str(used[key]) if key in used else "" for key in ("k", "j", "n"))
+        rows.append([
+            _g17(spec.a.real),
+            _g17(spec.a.imag),
+            _g17(spec.w),
+            method.value,
+            _g17(ev.value.real),
+            _g17(ev.value.imag),
+            _g17(ev.err_estimate),
+            "" if isinstance(ref, Exception) else _g17(abs(ev.value - ref.value)),
+            terms_k,
+            terms_j,
+            terms_n,
+            # j0 of the n = 1 tail factor; j is 0 (or absent) when none ran
+            str(used["j"] - 1) if used.get("j") else "",
+        ])
+    return rows
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     methods = [_resolve_method(name.strip().lower(), args.w) for name in args.methods.split(",")]
     specs = [SumSpec(_parse_complex(part), args.w) for part in args.a.split(",")]
     policy = _parse_policy(args.policy)
-    rows = [_sweep_row(spec, method, policy, args.eps) for spec in specs for method in methods]
+    rows = [row for spec in specs for row in _sweep_rows(spec, methods, policy, args.eps)]
     with open(args.out, "w", newline="") as fh:
         fh.write(_SWEEP_HEADER + "\n")
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -23,7 +23,10 @@ Which route fits an exponent is decided in one place,
 
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
-and stops by the one test that ``_truncate`` decodes from the policy.
+and stops by the one test that ``_truncate`` decodes from the policy;
+the tail factor's cap bounds the slice of its ratio row that the loop
+runs over, so its per-term work is a product, an abs, the least-term
+test and an append.
 Every series collects its terms in a list and takes its value from one
 math.fsum call per part: ``_fsum`` for float terms, ``_complex_fsum``
 (``_fsum`` over the real and the imaginary parts apart) for complex
@@ -42,10 +45,12 @@ overflowed product into NaN, so does the float path.
 A route logs term magnitudes only into a TermLog that its caller passes
 (the ``log`` keyword of evaluate, eval_generic, eval_even and
 tail_factor); without one it does no log work.  With one, the
-magnitudes of each series collect in a local list and reach the log in
-one ``TermLog.extend``; only the even route's dual terms are logged one
-by one, between the tail-factor series they decorate.  No value,
-estimate, count or refusal depends on whether a log is passed.
+magnitudes of each series reach the log in one ``TermLog.extend``: the
+k-sum's collect in a local list, the tail factor's are the abs of its
+kept terms and of the first omitted one, taken after its loop; only
+the even route's dual terms are logged one by one, between the
+tail-factor series they decorate.  No value, estimate, count or
+refusal depends on whether a log is passed.
 The even route computes a dual term's tail factor only when the term
 can matter: under the default policy with the dual count chosen by the
 route, a term whose rigorous bound is below 1e-18 of the value adds 0
@@ -126,6 +131,9 @@ _J_CAP = 2000
 _N_CAP = 50
 
 _EPS = sys.float_info.epsilon
+
+# Past 2^_MAX_EXP a float overflows.
+_MAX_EXP = sys.float_info.max_exp
 
 # c of the generic err_estimate's rounding term c eps sum|kept terms|
 # (derived in eval_generic), and c eps.
@@ -245,7 +253,7 @@ class _Exponent:
             const = 0.5 * digamma_int(m)
         elif kind == EVEN or w == 0.0:
             # w = 0 is pj's exponent, which classify_exponent leaves unclassed
-            if 2 * m < sys.float_info.max_exp:
+            if 2 * m < _MAX_EXP:
                 denom = 1.0
                 for r in range(1, m + 1):
                     denom *= 0.5 - r
@@ -582,6 +590,14 @@ def tail_factor(
     ``log``, every computed term, the first omitted one included, is
     logged under the name ``j[n=<n>]``.
 
+    The loop makes t_1..t_(cap-1) at most: it runs over the row's slice
+    r_(j-1)..r_(cap-2), j = len(kept), so it tests no index against the
+    cap.  Where it runs through to the cap, t_cap is made after it from
+    r_(cap-1), as the first omitted term.  j_used is the length of the
+    list of kept terms.  A log's magnitudes are taken after the loop:
+    abs of each kept term, then the first omitted term's, the same
+    floats the least-term test compared.
+
     For Im(a) == 0 the loop runs on floats, x = -Re(a) / (pi^2 n^2)
     and t_0 = 1.0, and gives the complex loop's results bit for bit:
     there every imaginary part is a signed zero, so -a / (pi^2 n^2) is
@@ -594,10 +610,12 @@ def tail_factor(
     a = complex(a)
     if not (a.real > 0.0 and cmath.isfinite(a)):
         raise DomainError(f"tail_factor requires a finite a with Re(a) > 0, got a = {a}")
-    _require_positive_int(m, "m")
-    _require_positive_int(n, "n")
-    if m > _M_EXACT:
-        raise DomainError(f"tail_factor requires m <= 2^53, exact in binary64, got m = {m}")
+    if m.__class__ is not int or n.__class__ is not int or not 0 < m <= _M_EXACT or n < 1:
+        # the checks in full, also passing an int subclass
+        _require_positive_int(m, "m")
+        _require_positive_int(n, "n")
+        if m > _M_EXACT:
+            raise DomainError(f"tail_factor requires m <= 2^53, exact in binary64, got m = {m}")
     cap, least_rule, _ = _truncate(policy, _J_CAP)
     nn2 = _PI2 * n * n
     if a.imag == 0.0:
@@ -612,24 +630,26 @@ def tail_factor(
     e = _exponent(2.0 * m)
     ratios = e.ratios
     kept = [t]
-    mags: Optional[list[float]] = None if log is None else [1.0]
     mag = 1.0
-    j = 0
-    # t_j is kept unless it meets the stop test, which ends the series
-    # at t_0..t_(j-1); under the least-term rule t_(j-1) is then the
-    # least term, which this series includes
+    # kept holds t_0..t_(j-1), j = len(kept), and t_j = t_(j-1) r_(j-1) x
+    # is kept unless the least-term rule stops the series there, at its
+    # least term t_(j-1); the slice ends at r_(cap-2), so the loop makes
+    # no t_cap, which is left out at the cap and made after the loop
     while True:
-        for ratio in ratios[j:]:
-            held_mag = mag
+        for ratio in ratios[len(kept) - 1 : cap - 1]:
             t = t * ratio * x
-            j += 1
-            mag = abs(t)
-            if mags is not None:
-                mags.append(mag)
-            if (least_rule and mag >= held_mag) or j == cap:
+            held_mag, mag = mag, abs(t)
+            if least_rule and mag >= held_mag:
                 break
             kept.append(t)
         else:
+            made = len(kept) - 1  # t_1..t_made, all kept
+            if made < len(ratios):
+                # made == cap - 1: t_cap, from r_(cap-1), is the first
+                # omitted term
+                t = t * ratios[made] * x
+                mag = abs(t)
+                break
             # the row ends before the stop: grow it and go on.  Under the
             # least-term rule it doubles from 16 entries up to the stop's
             # bound, as the terms may underflow long before it, and
@@ -638,14 +658,17 @@ def tail_factor(
             # 1/|x| is inf at a tiny nonzero x
             if least_rule:
                 bound = 1.0 / abs(x) + 2.0 if x else 2.0
-                size = min(max(2 * j, 16), bound) if j + 1 <= bound else 2 * j
+                size = min(max(2 * made, 16), bound) if made + 1 <= bound else 2 * made
             else:
                 size = cap
             ratios = e.ratios_upto(int(min(size, cap)))
             continue
         break
-    if mags is not None:
-        log.extend(f"j[n={n}]", range(j + 1), mags)
+    j = len(kept)
+    if log is not None:
+        # the magnitudes of the kept terms and of the first omitted one,
+        # each the abs that the stop test compared
+        log.extend(f"j[n={n}]", range(j + 1), [*map(abs, kept), mag])
     return complex(total(kept)), j, mag
 
 
@@ -734,11 +757,12 @@ def eval_even(
     (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
     refused before any term is made.
     """
-    a, w = spec.a, spec.w
+    a, w = spec
     _require_positive_int(m, "m")
-    if classify_exponent(w) != (EVEN, m):
+    kind, m_w = classify_exponent(w)
+    if kind != EVEN or m_w != m:
         raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
-    if 2 * m >= sys.float_info.max_exp:
+    if 2 * m >= _MAX_EXP:
         # refused before the m + 1 k-terms are made, which could take
         # unbounded time: 2^(2m) is past binary64, and the first omitted
         # dual term divides by at least that much
@@ -803,14 +827,13 @@ def _even_transform(
         # only under OptimalFirstMin with n chosen here
         skip_rel = _REL_FLOOR if auto and isinstance(policy, OptimalFirstMin) else 0.0
 
-        n_used = 0
-        fo_j_n1 = 0.0
-        j_used_n1 = 0
         skipped = 0.0
         for n in range(1, ncap + 1):
             nn2 = _PI2 * n * n
-            w_mag = math.exp(-nn2 * re_inv)  # |exp(-pi^2 n^2 / a)|
-            raw = w_mag / n ** (2 * m)
+            expo = -nn2 * re_inv
+            w_mag = math.exp(expo)  # |exp(-pi^2 n^2 / a)|
+            nw = n ** (2 * m)
+            raw = w_mag / nw
             size = abs(running)
             # auto rule: this n is the last one worth including
             last = auto and raw < _REL_FLOOR * size
@@ -822,7 +845,7 @@ def _even_transform(
                 ups, j_used, fo = tail_factor(a, m, n, policy, log=log) if m else (1.0, 0, 0.0)
                 if real:
                     ups = ups.real
-                term = pref * ups * weight(-nn2 / z) / n ** (2 * m)
+                term = pref * ups * weight(-nn2 / z) / nw
                 if real and math.isinf(term):
                     # pref * ups overflowed: complex arithmetic multiplies
                     # that inf by a zero imaginary part, and its term is NaN
@@ -835,16 +858,17 @@ def _even_transform(
                 log.log("n", n, abs(term))
             parts.append(term)
             running += term
-            n_used = n
             if n == 1:
-                fo_j_n1, j_used_n1 = fo, j_used
+                j_used_n1 = j_used
+                # the first omitted tail-factor term times its weight,
+                # taken as 0 where its argument is -745 or less
+                fo_tail_j = abs_pref * fo * (w_mag if expo > -745.0 else 0.0)
             if last or not w_mag:
                 # every later weight underflows too
                 break
 
-        expo1 = -_PI2 * re_inv
-        fo_tail_j = abs_pref * fo_j_n1 * (math.exp(expo1) if expo1 > -745.0 else 0.0)
-        nn = n_used + 1
+        # n is the last dual term summed
+        nn = n + 1
         expon = -_PI2 * nn * nn * re_inv
         fo_tail_n = abs_pref * (math.exp(expon) if expon > -745.0 else 0.0) / nn ** (2 * m)
         if fo_tail_n:
@@ -857,12 +881,13 @@ def _even_transform(
             # e.g. the dual tail's bound at a huge real a, which divides
             # by about 1/a: an estimate of inf bounds nothing
             raise OverflowError
+        # value, method, terms_used, err_estimate, term_log
         return Evaluation(
-            value=complex(total(parts)),
-            method=_EVEN_TRANSFORM if m else _CLASSICAL_PJ,
-            terms_used={"k": m + 1, "n": n_used, "j": j_used_n1},
-            err_estimate=err_estimate,
-            term_log=TermLog() if log is None else log,
+            complex(total(parts)),
+            _EVEN_TRANSFORM if m else _CLASSICAL_PJ,
+            {"k": m + 1, "n": n, "j": j_used_n1},
+            err_estimate,
+            TermLog() if log is None else log,
         )
     except (OverflowError, ZeroDivisionError):
         # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0, or

@@ -168,6 +168,11 @@ class Evaluation(_Mutable):
     and accuracy guarantees are void.  ``term_log`` is the TermLog the
     caller passed to the route, holding the terms it computed, or a
     fresh empty one when no log was passed.
+
+    A record is refused with DomainError when its value is not finite
+    (``cmath.isfinite``, which takes a float as it is), its estimate is
+    not finite and non-negative, or a count of ``terms_used`` is
+    negative; an empty ``terms_used`` is accepted.
     """
 
     __slots__ = ("value", "method", "terms_used", "err_estimate", "term_log", "near_odd_warning")
@@ -176,11 +181,11 @@ class Evaluation(_Mutable):
         self, value: complex, method: MethodChoice, terms_used: dict[str, int],
         err_estimate: float, term_log: TermLog, near_odd_warning: bool = False,
     ):
-        if not cmath.isfinite(complex(value)):
+        if not cmath.isfinite(value):
             raise DomainError("Evaluation value must be finite")
         if not 0.0 <= err_estimate < math.inf:  # NaN included
             raise DomainError("err_estimate must be finite and non-negative")
-        if min(terms_used.values(), default=0) < 0:
+        if terms_used and min(terms_used.values()) < 0:
             raise DomainError("terms_used counts must be non-negative")
         self.value = value
         self.method = method

@@ -168,8 +168,7 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     eps = float(eps)
     if not eps >= _EPS_FLOOR:
         raise DomainError(f"direct_sum requires eps >= {_EPS_FLOOR}, got {eps}")
-    a = spec.a
-    w = spec.w
+    a, w = spec
     re_a = a.real
     n, tail_bound = _stop_index(re_a, w, eps)
     try:
@@ -183,13 +182,16 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
     neg_a, exp = (-re_a, math.exp) if real else (-a, cmath.exp)
     # real and imaginary parts still to be summed; the leading +0.0
     # keeps an all-zero part from summing to -0.0.  On the real axis
-    # no term joins im_parts
+    # no term joins im_parts, whose sum is that +0.0
     re_parts = [0.0]
     im_parts = [0.0]
     # plain left-to-right binary64, as the rounding budget assumes
     abs_acc = 0.0
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
+    # the blocks start..stop - 1: the last ends at n, the others hold
+    # _BLOCK terms and are condensed before the next
+    start = 1
+    while True:
+        stop = n + 1 if n < start + _BLOCK else start + _BLOCK
         if real:
             for k in range(start, stop):
                 term = exp(neg_a * (k * k)) / math.pow(k, w)
@@ -202,13 +204,10 @@ def direct_sum(spec: SumSpec, eps: float = 1e-16) -> OracleResult:
                 re_parts.append(term.real)
                 im_parts.append(term.imag)
                 abs_acc += abs(term)
-        if stop <= n:
-            re_parts = _condense(re_parts)
-            im_parts = _condense(im_parts)
-    rounding = n * _MACHINE_EPS * abs_acc
-    return OracleResult(
-        value=complex(math.fsum(re_parts), math.fsum(im_parts)),
-        n_terms=n,
-        tail_bound=tail_bound,
-        rounding_bound=rounding,
-    )
+        if stop > n:
+            break
+        re_parts = _condense(re_parts)
+        im_parts = _condense(im_parts)
+        start = stop
+    value = complex(math.fsum(re_parts), 0.0 if real else math.fsum(im_parts))
+    return OracleResult(value, n, tail_bound, n * _MACHINE_EPS * abs_acc)

@@ -362,6 +362,7 @@ def test_sweep_rows_are_a_by_method(tmp_path, capsys):
 
 
 def test_sweep_direct_row_sums_once(tmp_path, capsys, monkeypatch):
+    # one direct sum per a, shared by every row of that a
     calls = []
     real = thetasum.engine.direct_sum
 
@@ -372,19 +373,31 @@ def test_sweep_direct_row_sums_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(thetasum.cli, "direct_sum", counting)
     monkeypatch.setattr(thetasum.engine, "direct_sum", counting)
     target = tmp_path / "s.csv"
-    rc, _, _ = run(capsys, "sweep", "--a", "1.0,0.5", "--w", "4", "--methods", "direct", "--out", str(target))
-    assert rc == 0
-    assert calls == [1.0, 0.5]
-    # the row is its own oracle
-    assert [row["abs_err_vs_oracle"] for row in csv.DictReader(target.open())] == ["0", "0"]
+    # methods, w, the indices of the direct rows
+    for methods, w, direct_rows in (
+        ("direct", "4", [0, 1]),
+        ("even,direct", "4", [1, 3]),
+        ("auto,generic", "2.5", []),
+    ):
+        calls.clear()
+        rc, _, _ = run(capsys, "sweep", "--a", "1.0,0.5", "--w", w, "--methods", methods, "--out", str(target))
+        assert rc == 0
+        assert calls == [1.0, 0.5]
+        rows = list(csv.DictReader(target.open()))
+        assert len(rows) == 2 * len(methods.split(","))
+        # a direct row is its own oracle
+        assert [rows[i]["abs_err_vs_oracle"] for i in direct_rows] == ["0"] * len(direct_rows)
+        assert "" not in [row["abs_err_vs_oracle"] for row in rows]
 
 
 def test_sweep_direct_infeasible_exit_code(tmp_path, capsys):
+    # a generic row before the direct one leaves the refused sum to it
     target = tmp_path / "s.csv"
-    rc, _, err = run(capsys, "sweep", "--a", "1e-15", "--w", "0.5", "--methods", "direct", "--out", str(target))
-    assert rc == 3
-    assert "expansion" in err
-    assert not target.exists()
+    for methods in ("direct", "generic,direct", "direct,generic"):
+        rc, _, err = run(capsys, "sweep", "--a", "1e-15", "--w", "0.5", "--methods", methods, "--out", str(target))
+        assert rc == 3
+        assert "expansion" in err
+        assert not target.exists()
 
 
 def test_sweep_method_mismatch_is_precondition(capsys, tmp_path):

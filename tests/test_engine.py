@@ -1038,6 +1038,28 @@ def test_memo_cold_and_warm_results_are_identical(clear_memos):
             assert mag == pytest.approx(want, rel=1e-12, abs=0.0), (w, a, k)
 
 
+def test_table1_path_calls_through_the_engine_names(monkeypatch):
+    # a profiler that rebinds engine.tail_factor and engine.direct_sum sees
+    # each call of the Table-1 path: one tail factor per row at n_max = 1,
+    # one direct sum per direct evaluation
+    counts = dict.fromkeys(("tail_factor", "direct_sum"), 0)
+    for name in counts:
+
+        def counting(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+    for row in W4_ROWS:
+        spec = SumSpec(row.a, 4.0)
+        counts.update(tail_factor=0, direct_sum=0)
+        eval_even(spec, 2, OPTIMAL, n_max=1)
+        assert counts == {"tail_factor": 1, "direct_sum": 0}, row
+        counts.update(tail_factor=0, direct_sum=0)
+        evaluate(spec, MethodChoice.DIRECT)
+        assert counts == {"tail_factor": 0, "direct_sum": 1}, row
+
+
 def test_memo_misses_go_through_engine_names(monkeypatch, clear_memos):
     clear_memos()
     zetas, gammas = [], []
@@ -1316,6 +1338,94 @@ def test_tail_factor_grows_the_row_only_to_the_length_a_call_needs(clear_memos):
         tail_factor(1.0, 2**53 + 1, 1)
 
 
+def _reference_tail_factor(a, m, n, policy=OPTIMAL, *, log=None):
+    # tail_factor's loop as it ran before the cap became the slice bound:
+    # one test per term against the cap, the log's magnitudes collected
+    # term by term inside the loop
+    a = complex(a)
+    if not (a.real > 0.0 and cmath.isfinite(a)):
+        raise DomainError(f"tail_factor requires a finite a with Re(a) > 0, got a = {a}")
+    engine._require_positive_int(m, "m")
+    engine._require_positive_int(n, "n")
+    if m > engine._M_EXACT:
+        raise DomainError(f"tail_factor requires m <= 2^53, exact in binary64, got m = {m}")
+    cap, least_rule, _ = engine._truncate(policy, engine._J_CAP)
+    nn2 = engine._PI2 * n * n
+    if a.imag == 0.0:
+        x, t, total = -a.real / nn2, 1.0, engine._fsum
+    else:
+        x, t, total = -a / nn2, 1.0 + 0j, engine._complex_fsum
+    e = engine._exponent(2.0 * m)
+    ratios = e.ratios
+    kept = [t]
+    mags = None if log is None else [1.0]
+    mag = 1.0
+    j = 0
+    while True:
+        for ratio in ratios[j:]:
+            held_mag = mag
+            t = t * ratio * x
+            j += 1
+            mag = abs(t)
+            if mags is not None:
+                mags.append(mag)
+            if (least_rule and mag >= held_mag) or j == cap:
+                break
+            kept.append(t)
+        else:
+            if least_rule:
+                bound = 1.0 / abs(x) + 2.0 if x else 2.0
+                size = min(max(2 * j, 16), bound) if j + 1 <= bound else 2 * j
+            else:
+                size = cap
+            ratios = e.ratios_upto(int(min(size, cap)))
+            continue
+        break
+    if mags is not None:
+        log.extend(f"j[n={n}]", range(j + 1), mags)
+    return complex(total(kept)), j, mag
+
+
+def test_tail_factor_is_the_reference_loop_bit_for_bit(monkeypatch, clear_memos):
+    # the value, j_used, first omitted term, log entries and the sizes the
+    # row is grown to, from a cold row, a short one and a long one
+    sizes = []
+    grow = engine._Exponent.ratios_upto
+
+    def recording(self, count):
+        sizes.append(count)
+        return grow(self, count)
+
+    monkeypatch.setattr(engine._Exponent, "ratios_upto", recording)
+
+    def outcome(fn, a, m, n, policy, logged, warm):
+        clear_memos()
+        if warm:
+            tail_factor(warm, m, 1)
+        sizes.clear()
+        log = TermLog() if logged else None
+        try:
+            got = fn(a, m, n, policy, log=log)
+        except Exception as exc:  # a refusal is an outcome
+            got = (type(exc).__name__, str(exc))
+        return repr((got, None if log is None else log.entries, sizes))
+
+    policies = [OPTIMAL, Fixed(1), Fixed(2), Fixed(17), Fixed(engine._J_CAP), Fixed(engine._J_CAP + 5)]
+    rng = random.Random(20261021)
+    for m in range(1, 9):
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        arg = rng.uniform(-1.5, 1.5)
+        for a in (x, complex(x, 0.0), complex(x, -0.0), cmath.rect(x, arg)):
+            for n in range(1, 4):
+                for policy in policies:
+                    # cold; warm by 2 ratios at a = 20; by 199 at a = 0.05
+                    for warm in (None, 20.0, 0.05):
+                        for logged in (True, False):
+                            case = (a, m, n, policy, logged, warm)
+                            got = outcome(tail_factor, *case)
+                            assert got == outcome(_reference_tail_factor, *case), case
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_even_k_terms_are_zeta_real_bit_for_bit(m):
     # the even route's coefficients never come from the recurrence
@@ -1422,15 +1532,27 @@ def test_replace_validates_as_construction_does():
 
 
 def test_evaluation_validation():
-    for value, err_estimate in ((complex("inf"), 0.0), (1.0, math.nan), (1.0, math.inf)):
+    for value, err_estimate, terms_used in (
+        (complex("inf"), 0.0, {}),
+        (math.nan, 0.0, {}),
+        (math.inf, 0.0, {}),
+        (1.0, math.nan, {}),
+        (1.0, math.inf, {}),
+        (1.0, -1e-300, {}),
+        (1.0, 0.0, {"k": 3, "n": -1}),
+    ):
         with pytest.raises(DomainError):
             Evaluation(
                 value=value,
                 method=MethodChoice.GENERIC,
-                terms_used={},
+                terms_used=terms_used,
                 err_estimate=err_estimate,
                 term_log=TermLog(),
             )
+    # no counts, and counts of 0, are accepted
+    for terms_used in ({}, {"k": 0, "j": 0}):
+        ev = Evaluation(0.5, MethodChoice.DIRECT, terms_used, 0.0, TermLog())
+        assert ev.terms_used == terms_used
 
 
 def _log3():
