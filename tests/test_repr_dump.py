@@ -1,4 +1,5 @@
-"""tools/repr_dump.py: the bit-identity dump runs and repeats itself."""
+"""tools/repr_dump.py: the bit-identity dump runs and repeats itself, and
+its digest at ``--points 10`` is the committed one."""
 
 import os
 import re
@@ -9,11 +10,12 @@ from pathlib import Path
 from thetasum import engine, errors
 
 ROOT = Path(__file__).parents[1]
+DIGEST = ROOT / "tests" / "golden" / "repr_digest.txt"
 
 
-def _dump(points):
+def _dump(points, *flags):
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "repr_dump.py"), "--points", str(points)],
+        [sys.executable, str(ROOT / "tools" / "repr_dump.py"), "--points", str(points), *flags],
         env={**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])},
         capture_output=True,
         text=True,
@@ -54,3 +56,13 @@ def test_no_log_runs_match_the_logged_runs():
     for logged, plain in zip(lines, lines[1:]):
         if logged.startswith(("route ", "tail_factor ")):
             assert plain.startswith("nolog " + logged.split(" | ")[0] + " | "), logged
+
+
+def test_digest_matches_the_committed_one():
+    # bit identity of every section at --points 10; a change that is
+    # meant to move values regenerates the file (the tool's docstring
+    # has the command) and names the sections that moved
+    got = _dump(10, "--digest").splitlines()
+    want = DIGEST.read_text().splitlines()
+    moved = [line.split(" | ")[0] for line in got if line not in want]
+    assert got == want, f"moved sections: {moved}"

@@ -19,7 +19,8 @@ message of its refusal.  The grid:
   does not touch: ``gamma_real`` at seeded x in [-170, 172], at
   poles and 1e-13 and 1e-11 either side of them, and at 171.5 to 172,
   where binary64 ends; ``zeta_real`` at seeded s in [-170, 90] and next to s = 0,
-  s = 1 and the trivial zeros; ``digamma_int(m)`` for m = 0..170.
+  s = 1 and the trivial zeros; the engine's Euler-Maclaurin
+  ``_zeta_gt1`` at seeded s > 1; ``digamma_int(m)`` for m = 0..170.
 
 A route or ``tail_factor`` case runs twice and prints two lines: first
 with a TermLog, then without one, the path that table1, sweep and
@@ -33,7 +34,18 @@ and a BLAKE2b digest of the repr of its entries, which keeps a line
 short while any moved magnitude still changes it.
 
 ``--points N`` takes the first N moduli of the seeded grid (default
-125, 124,525 lines); the grid does not depend on N otherwise.
+125, 124,831 lines); the grid does not depend on N otherwise.
+
+``--digest`` prints one line per section in place of the lines: the
+section, its line count and a BLAKE2b digest of its lines.  A section
+is a route, ``tail_factor`` or ``direct_sum`` at one kind of a (real,
+real with imaginary part -0.0, or complex), or one special function.
+A moved value then names its section, and the full dump's diff finds
+its line.  ``tests/golden/repr_digest.txt`` is the digest at
+``--points 10``; regenerate it for a change that is meant to move a
+value with
+
+    PYTHONPATH=src python tools/repr_dump.py --digest --points 10 > tests/golden/repr_digest.txt
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from thetasum import (
 )
 from thetasum.engine import tail_factor
 from thetasum.reference import W4_ROWS
-from thetasum.specfun import digamma_int, gamma_real, zeta_real
+from thetasum.specfun import _zeta_gt1, digamma_int, gamma_real, zeta_real
 
 POLICIES = (OPTIMAL, Fixed(3), Fixed(8))
 N_MAXES = (None, 1, 3)
@@ -143,51 +155,97 @@ def specfun_arguments() -> tuple[list[float], list[float]]:
     return xs, ss
 
 
+def zeta_gt1_arguments() -> list[float]:
+    """The s of ``_zeta_gt1`` in the dump: seeded s - 1 log-uniform in
+    [1e-12, 2000], where the engine's row takes it, then the k0 entry's
+    band (1, 3] and a few fixed points."""
+    rng = random.Random(SEED + 1)
+    ss = [1.0 + math.exp(rng.uniform(math.log(1e-12), math.log(2000.0))) for _ in range(200)]
+    ss += [rng.uniform(1.0, 3.0) for _ in range(100)]
+    return ss + [1.0 + 2.0**-52, 1.5, 2.0, 3.0, 41.0, 1000.5]
+
+
 def _specfun_lines():
     xs, ss = specfun_arguments()
     for x in xs:
-        yield f"specfun gamma_real x={x!r} | {_run(lambda _: gamma_real(x), None)[0]}"
+        yield "specfun gamma_real", f"specfun gamma_real x={x!r} | {_run(lambda _: gamma_real(x), None)[0]}"
     for s in ss:
-        yield f"specfun zeta_real s={s!r} | {_run(lambda _: zeta_real(s), None)[0]}"
+        yield "specfun zeta_real", f"specfun zeta_real s={s!r} | {_run(lambda _: zeta_real(s), None)[0]}"
+    for s in zeta_gt1_arguments():
+        yield "specfun _zeta_gt1", f"specfun _zeta_gt1 s={s!r} | {_zeta_gt1(s)!r}"
     for m in range(171):
-        yield f"specfun digamma_int m={m} | {digamma_int(m)!r}"
+        yield "specfun digamma_int", f"specfun digamma_int m={m} | {digamma_int(m)!r}"
 
 
-def lines(points: int):
-    """Yield the dump's lines for the first ``points`` moduli."""
+def _kind(a: complex) -> str:
+    # the digest's kind of a
+    if a.imag:
+        return "complex"
+    return "real-0j" if math.copysign(1.0, a.imag) < 0.0 else "real"
+
+
+def sectioned_lines(points: int):
+    """Yield (section, line) for each of the dump's lines for the first
+    ``points`` moduli."""
     grid = a_grid(points)
     for a in grid:
+        kind = _kind(a)
         for w in ALL_W:
             spec = SumSpec(a, w)
             head = f"route direct a={a!r} w={w!r}"
-            yield from _case(head, _evaluation(spec, MethodChoice.DIRECT, OPTIMAL, None))
+            for line in _case(head, _evaluation(spec, MethodChoice.DIRECT, OPTIMAL, None)):
+                yield f"route direct {kind}", line
         for method, exponents in EXPONENTS.items():
+            section = f"route {method.value} {kind}"
             for w in exponents:
                 spec = SumSpec(a, w)
                 for policy in POLICIES:
                     # the generic route ignores n_max
                     for n_max in (None,) if method is MethodChoice.GENERIC else N_MAXES:
                         head = f"route {method.value} a={a!r} w={w!r} {policy!r} n_max={n_max}"
-                        yield from _case(head, _evaluation(spec, method, policy, n_max))
+                        for line in _case(head, _evaluation(spec, method, policy, n_max)):
+                            yield section, line
     for a in grid:
+        section = f"tail_factor {_kind(a)}"
         for m in (1, 2, 4, 8):
             for n in (1, 2, 3):
                 for policy in POLICIES:
                     head = f"tail_factor a={a!r} m={m} n={n} {policy!r}"
-                    yield from _case(head, lambda log: tail_factor(a, m, n, policy, log=log))
+                    for line in _case(head, lambda log: tail_factor(a, m, n, policy, log=log)):
+                        yield section, line
     for a in grid:
+        section = f"direct_sum {_kind(a)}"
         for w in ALL_W:
             for eps in (1e-16, 1e-10):
-                yield f"direct_sum a={a!r} w={w!r} eps={eps!r} | {_direct_sum(SumSpec(a, w), eps)}"
+                yield section, f"direct_sum a={a!r} w={w!r} eps={eps!r} | {_direct_sum(SumSpec(a, w), eps)}"
     yield from _specfun_lines()
+
+
+def lines(points: int):
+    """Yield the dump's lines for the first ``points`` moduli."""
+    for _, line in sectioned_lines(points):
+        yield line
+
+
+def digest_lines(points: int):
+    """Yield one line per section, in order of first appearance: the
+    section, its line count and the BLAKE2b digest of its lines."""
+    sections: dict[str, list] = {}
+    for section, line in sectioned_lines(points):
+        entry = sections.setdefault(section, [0, hashlib.blake2b(digest_size=16)])
+        entry[0] += 1
+        entry[1].update(line.encode() + b"\n")
+    for section, (count, digest) in sections.items():
+        yield f"{section} | lines={count} blake2b={digest.hexdigest()}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=125, help="moduli of the seeded grid (default 125)")
+    parser.add_argument("--digest", action="store_true", help="print one digest line per section")
     args = parser.parse_args(argv)
     out = sys.stdout
-    for line in lines(args.points):
+    for line in (digest_lines if args.digest else lines)(args.points):
         out.write(line + "\n")
     return 0
 
