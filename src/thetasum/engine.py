@@ -517,10 +517,14 @@ def eval_generic(
     argument, reached 8.3u over 20000 seeded w in (0, 7] at least 0.05
     from the odd integers; with the power's 3u and no factor a/k that
     term stays within 7.5 eps.  The Lanczos kernel it replaced reached
-    15.3u there.  The row's coefficients exceed the budget: over 1766
-    seeded w in (0.05, 8) at least 0.06 from the integers, its
-    zeta_real entries reached 9.5u and its functional-equation entries
-    12.1u for k0 <= k <= k0 + 2.
+    15.3u there.  The row's coefficients exceed the budget: against
+    40-digit mpmath over 5298 seeded w in (0.05, 8) at least 0.06 from
+    the integers, its zeta_real entries reached 9.5u (at w - 2k = 0.07,
+    where the functional equation reads zeta at the rounded 1 - s) and
+    its functional-equation entries 12.9u for k0 <= k <= k0 + 2 (17.9u
+    up to k0 + 6).  A k-term at k = k0 = 1 can then carry 12.9u + 3u
+    + u, above the 16u that c = 8 allows per unit of sum|t|: for the
+    k-terms c = 8 is kept, not derived.
 
     With a ``log``, every computed k-term, the first omitted one
     included, is logged under the name ``k`` and ``term_log`` is that

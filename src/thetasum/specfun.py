@@ -108,17 +108,21 @@ def digamma_int(m: int) -> float:
 
 def _alternating_zeta_weights(n: int) -> tuple[float, ...]:
     # Chebyshev-derived acceleration weights for the alternating
-    # (eta-function) series; error decays like (3 + sqrt(8))^-n, so
-    # n = 50 leaves a margin of ~1e-38 over binary64.  The partial sums
-    # d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are scaled by
-    # (2n)!, which every (n-i)! (2i)! divides, so they are integers.
+    # (eta-function) series (P. Borwein, "An efficient algorithm for
+    # the Riemann zeta function", 2000); the error decays like
+    # (3 + sqrt(8))^-n, so n = 24 leaves about 1e-18, below binary64's
+    # resolution.  zeta_real at every integer s in 2..1100 and -1..-59
+    # is what n = 50 gives, bit for bit; at n = 22 it is not.  The
+    # partial sums d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)
+    # are scaled by (2n)!, which every (n-i)! (2i)! divides, so they
+    # are integers.
     f = math.factorial
     terms = (n * f(n + i - 1) * 4**i * (f(2 * n) // (f(n - i) * f(2 * i))) for i in range(n + 1))
     d = list(accumulate(terms))
     return tuple((d[n] - d_k) / d[n] for d_k in d[:n])
 
 
-_ETA_N = 50
+_ETA_N = 24
 _ETA_W = _alternating_zeta_weights(_ETA_N)
 # the signed weights (-1)^k _ETA_W[k] and the bases k + 1 of the eta
 # series, so the sum runs as C-level iteration
@@ -139,31 +143,28 @@ def _zeta_alternating(s: float) -> float:
 # s > 1 the error is at most the first omitted correction, under
 # 3.4e-16 of zeta(s) for every s (largest near s = 2.8); rounding adds
 # a few ulp.
-_EM_N = 9.0
-_EM_HEAD = tuple(float(n) for n in range(1, int(_EM_N)))
 # B_2j for j = 1..7, as (numerator, denominator)
 _EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
-# (B_2j/(2j)!, 2j - 1, 2j) from j = 7 down, for Horner's rule
-_EM_HORNER = tuple(
-    (num / (den * math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
-    for j, (num, den) in reversed(tuple(enumerate(_EM_BERNOULLI, 1)))
-)
+# B_2j/(2j)! for j = 1..7
+_EM_COEF = tuple(num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate(_EM_BERNOULLI, 1))
 
 
 def _zeta_gt1(s: float) -> float:
-    # zeta(s) for s > 1; s - 1 is exact wherever it is small, so the
-    # pole term keeps full relative accuracy next to s = 1
-    corr = 0.0
-    for b, lo, hi in _EM_HORNER:
-        # (s)_(2j+1) / (s)_(2j-1) = (s + 2j - 1)(s + 2j)
-        corr = b + corr * (s + lo) * (s + hi) / (_EM_N * _EM_N)
-    p = _EM_N**-s
-    # the head added left to right, whatever the Python version: sum()
-    # compensates over floats from 3.12 on
-    head = 0.0
-    for n in _EM_HEAD:
-        head += n**-s
-    return head + p * (_EM_N / (s - 1.0) + 0.5 + corr * s / _EM_N)
+    # zeta(s) for s > 1, unrolled; s - 1 is exact wherever it is small,
+    # so the pole term keeps full relative accuracy next to s = 1.  The
+    # corrections go by Horner's rule from j = 7 down, as
+    # (s)_(2j+1) / (s)_(2j-1) = (s + 2j - 1)(s + 2j), over N^2 = 81.
+    b1, b2, b3, b4, b5, b6, b7 = _EM_COEF
+    c = b6 + b7 * (s + 11.0) * (s + 12.0) / 81.0
+    c = b5 + c * (s + 9.0) * (s + 10.0) / 81.0
+    c = b4 + c * (s + 7.0) * (s + 8.0) / 81.0
+    c = b3 + c * (s + 5.0) * (s + 6.0) / 81.0
+    c = b2 + c * (s + 3.0) * (s + 4.0) / 81.0
+    c = b1 + c * (s + 1.0) * (s + 2.0) / 81.0
+    # the head added left to right, as Python evaluates +
+    m = -s
+    head = 1.0 + 2.0**m + 3.0**m + 4.0**m + 5.0**m + 6.0**m + 7.0**m + 8.0**m
+    return head + 9.0**m * (9.0 / (s - 1.0) + 0.5 + c * s / 9.0)
 
 
 def zeta_real(s: float) -> float:

@@ -11,14 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from thetasum import DomainError, PoleError
+from thetasum import DomainError, PoleError, specfun
 from thetasum.specfun import (
     _EM_BERNOULLI,
-    _EM_HORNER,
+    _EM_COEF,
     _ETA_N,
     _ETA_W,
     _LN2,
     EULER_GAMMA,
+    _alternating_zeta_weights,
     _zeta_alternating,
     digamma_int,
     gamma_real,
@@ -159,11 +160,9 @@ def test_tables_are_the_exact_rationals_rounded_once():
         acc += Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
         d.append(n * acc)
     assert _ETA_W == tuple(float(Fraction(d[n] - d_k, d[n])) for d_k in d[:n])
-    horner = tuple(
-        (float(Fraction(*_EM_BERNOULLI[j - 1]) / math.factorial(2 * j)), 2.0 * j - 1.0, 2.0 * j)
-        for j in range(len(_EM_BERNOULLI), 0, -1)
+    assert _EM_COEF == tuple(
+        float(Fraction(*b) / math.factorial(2 * j)) for j, b in enumerate(_EM_BERNOULLI, 1)
     )
-    assert _EM_HORNER == horner
     # and the Bernoulli numbers behind the Euler-Maclaurin table are
     # those of verify's independent recurrence
     assert tuple(float(Fraction(*b)) for b in _EM_BERNOULLI) == _bernoulli_even(len(_EM_BERNOULLI))
@@ -196,6 +195,41 @@ def test_eta_kernel_matches_its_definition_bit_for_bit():
             (_ETA_W[k] if k % 2 == 0 else -_ETA_W[k]) * (k + 1.0) ** (-s) for k in range(_ETA_N)
         )
         assert _zeta_alternating(s) == eta / -math.expm1((1.0 - s) * _LN2), s
+
+
+def test_integer_zeta_is_the_50_term_series_bit_for_bit(monkeypatch):
+    # the even, pj and Table-1 coefficients read zeta_real at integers
+    # alone; pinning those to the 50-term eta series keeps them in place
+    # whatever length the series has
+    ss = [float(s) for s in range(2, 1101)] + [float(-s) for s in range(1, 60)]
+    ours = [zeta_real(s) for s in ss]
+    weights = _alternating_zeta_weights(50)
+    monkeypatch.setattr(specfun, "_ETA_SW", tuple(-wk if k & 1 else wk for k, wk in enumerate(weights)))
+    monkeypatch.setattr(specfun, "_ETA_B", tuple(k + 1.0 for k in range(50)))
+    assert list(map(repr, ours)) == [repr(zeta_real(s)) for s in ss]
+
+
+def test_zeta_within_its_band_ceilings_of_mpmath():
+    # relative error against 40-digit mpmath, in u = 2^-53, by band.
+    # For 1/64 <= s < 1/2 the functional equation reads zeta and Gamma
+    # at 1 - s rounded, which alone costs up to u/(2s): 32u next to
+    # s = 1/64 (35.7u measured there), hence the extra draws at that
+    # edge and a ceiling of 40u.  Left of 0 the rounded 1 - s reaches
+    # Gamma and pi^(s-1) the same way, about ln(1 - s) u per unit of
+    # the rounding.
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    rng = random.Random(20261020)
+    bands = {
+        "[0.5, 8]": ([rng.uniform(0.5, 8.0) for _ in range(400)], 8),
+        "(8, 60]": ([rng.uniform(8.0, 60.0) for _ in range(200)], 4),
+        "[0, 0.5)": ([rng.uniform(0.0, 0.5) for _ in range(300)] + [rng.uniform(1.0 / 64.0, 0.02) for _ in range(100)], 40),
+        "[-60, 0)": ([rng.uniform(-60.0, 0.0) for _ in range(400)], 128),
+    }
+    with mpmath.workdps(40):
+        for name, (ss, ceiling) in bands.items():
+            worst = max(float(abs(mpmath.mpf(zeta_real(s)) / mpmath.zeta(mpmath.mpf(s)) - 1)) for s in ss)
+            assert worst <= ceiling * u, (name, worst / u)
 
 
 def test_zeta_pole():
