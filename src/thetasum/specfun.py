@@ -161,7 +161,8 @@ def _zeta_gt1(s: float) -> float:
     c = b3 + c * (s + 5.0) * (s + 6.0) / 81.0
     c = b2 + c * (s + 3.0) * (s + 4.0) / 81.0
     c = b1 + c * (s + 1.0) * (s + 2.0) / 81.0
-    # the head added left to right, as Python evaluates +
+    # the head added left to right whatever the Python version: sum()
+    # compensates over floats from 3.12 on
     m = -s
     head = 1.0 + 2.0**m + 3.0**m + 4.0**m + 5.0**m + 6.0**m + 7.0**m + 8.0**m
     return head + 9.0**m * (9.0 / (s - 1.0) + 0.5 + c * s / 9.0)

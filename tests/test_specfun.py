@@ -214,16 +214,19 @@ def test_zeta_within_its_band_ceilings_of_mpmath():
     # For 1/64 <= s < 1/2 the functional equation reads zeta and Gamma
     # at 1 - s rounded, which alone costs up to u/(2s): 32u next to
     # s = 1/64 (35.7u measured there), hence the extra draws at that
-    # edge and a ceiling of 40u.  Left of 0 the rounded 1 - s reaches
-    # Gamma and pi^(s-1) the same way, about ln(1 - s) u per unit of
-    # the rounding.
+    # edge and a ceiling of 40u.  Left of 0 the same rounding reaches
+    # Gamma(1 - s) pi^(s - 1), whose sensitivity psi(1 - s) - ln(pi)
+    # grows with |s|: it alone can cost about 95u at s = -60.
     mpmath = pytest.importorskip("mpmath")
     u = 2.0**-53
     rng = random.Random(20261020)
     bands = {
         "[0.5, 8]": ([rng.uniform(0.5, 8.0) for _ in range(400)], 8),
         "(8, 60]": ([rng.uniform(8.0, 60.0) for _ in range(200)], 4),
-        "[0, 0.5)": ([rng.uniform(0.0, 0.5) for _ in range(300)] + [rng.uniform(1.0 / 64.0, 0.02) for _ in range(100)], 40),
+        "[0, 0.5)": (
+            [rng.uniform(0.0, 0.5) for _ in range(300)] + [rng.uniform(1.0 / 64.0, 0.02) for _ in range(100)],
+            40,
+        ),
         "[-60, 0)": ([rng.uniform(-60.0, 0.0) for _ in range(400)], 128),
     }
     with mpmath.workdps(40):

@@ -221,12 +221,6 @@ def sectioned_lines(points: int):
     yield from _specfun_lines()
 
 
-def lines(points: int):
-    """Yield the dump's lines for the first ``points`` moduli."""
-    for _, line in sectioned_lines(points):
-        yield line
-
-
 def digest_lines(points: int):
     """Yield one line per section, in order of first appearance: the
     section, its line count and the BLAKE2b digest of its lines."""
@@ -244,9 +238,12 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=125, help="moduli of the seeded grid (default 125)")
     parser.add_argument("--digest", action="store_true", help="print one digest line per section")
     args = parser.parse_args(argv)
-    out = sys.stdout
-    for line in (digest_lines if args.digest else lines)(args.points):
-        out.write(line + "\n")
+    if args.digest:
+        out = digest_lines(args.points)
+    else:
+        out = (line for _, line in sectioned_lines(args.points))
+    for line in out:
+        sys.stdout.write(line + "\n")
     return 0
 
 
