@@ -56,6 +56,7 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter, defaultdict
 
 from thetasum import (
     OPTIMAL,
@@ -224,13 +225,13 @@ def sectioned_lines(points: int):
 def digest_lines(points: int):
     """Yield one line per section, in order of first appearance: the
     section, its line count and the BLAKE2b digest of its lines."""
-    sections: dict[str, list] = {}
+    counts: Counter[str] = Counter()
+    digests = defaultdict(lambda: hashlib.blake2b(digest_size=16))
     for section, line in sectioned_lines(points):
-        entry = sections.setdefault(section, [0, hashlib.blake2b(digest_size=16)])
-        entry[0] += 1
-        entry[1].update(line.encode() + b"\n")
-    for section, (count, digest) in sections.items():
-        yield f"{section} | lines={count} blake2b={digest.hexdigest()}"
+        counts[section] += 1
+        digests[section].update(line.encode() + b"\n")
+    for section, digest in digests.items():
+        yield f"{section} | lines={counts[section]} blake2b={digest.hexdigest()}"
 
 
 def main(argv=None) -> int:
