@@ -44,12 +44,13 @@ value's imaginary part is +0.0; where the complex arithmetic turns an
 overflowed product into NaN, so does the float path.
 A route logs term magnitudes only into a TermLog that its caller passes
 (the ``log`` keyword of evaluate, eval_generic, eval_even and
-tail_factor); without one it does no log work.  With one, the
-magnitudes of each series reach the log in one ``TermLog.extend``: the
-k-sum's collect in a local list, the tail factor's are the abs of its
-kept terms and of the first omitted one, taken after its loop; only
-the even route's dual terms are logged one by one, between the
-tail-factor series they decorate.  No value, estimate, count or
+tail_factor); without one it does no log work and allocates no log:
+its ``term_log`` is the shared read-only ``model.EMPTY_LOG``.  With
+one, the magnitudes of each series reach the log in one
+``TermLog.extend``: the k-sum's collect in a local list, the tail
+factor's are the abs of its kept terms and of the first omitted one,
+taken after its loop; only the even route's dual terms are logged one
+by one, between the tail-factor series they decorate.  No value, estimate, count or
 refusal depends on whether a log is passed.
 The even route computes a dual term's tail factor only when the term
 can matter: under the default policy with the dual count chosen by the
@@ -89,6 +90,7 @@ from .errors import (
     PrecisionError,
 )
 from .model import (
+    EMPTY_LOG,
     OPTIMAL,
     Evaluation,
     Fixed,
@@ -398,7 +400,7 @@ def singular_term(spec: SumSpec) -> complex:
 
     Principal branch for log and powers.
     """
-    a, w = spec.a, spec.w
+    a, w = spec
     if w <= 0.0:
         raise DomainError(f"singular_term requires w > 0, got {w}")
     e = _exponent(w)
@@ -528,7 +530,7 @@ def eval_generic(
 
     With a ``log``, every computed k-term, the first omitted one
     included, is logged under the name ``k`` and ``term_log`` is that
-    log; without one ``term_log`` is a fresh empty TermLog.
+    log; without one ``term_log`` is the shared read-only EMPTY_LOG.
     """
     a, w = spec
     if w <= 0.0:
@@ -544,13 +546,14 @@ def eval_generic(
         raise PrecisionError(
             f"the generic expansion at a = {a}, w = {w} overflows binary64"
         ) from None
+    # value, method, terms_used, err_estimate, term_log, near_odd_warning
     return Evaluation(
-        value=value,
-        method=_GENERIC,
-        terms_used={"k": included},
-        err_estimate=err_estimate,
-        term_log=TermLog() if log is None else log,
-        near_odd_warning=e.kind == NEAR_ODD,
+        value,
+        _GENERIC,
+        {"k": included},
+        err_estimate,
+        EMPTY_LOG if log is None else log,
+        e.kind == NEAR_ODD,
     )
 
 
@@ -755,7 +758,7 @@ def eval_even(
     With a ``log``, the m + 1 k-terms are logged under ``k``, each
     dual term under ``n`` and each computed tail factor's series under
     ``j[n=<n>]``, and ``term_log`` is that log; without one
-    ``term_log`` is a fresh empty TermLog.
+    ``term_log`` is the shared read-only EMPTY_LOG.
 
     Raises PrecisionError when an intermediate overflows binary64
     (large m or |a|); from m = 512 on, 2^(2m) does, so such m are
@@ -891,7 +894,7 @@ def _even_transform(
             _EVEN_TRANSFORM if m else _CLASSICAL_PJ,
             {"k": m + 1, "n": n, "j": j_used_n1},
             err_estimate,
-            TermLog() if log is None else log,
+            EMPTY_LOG if log is None else log,
         )
     except (OverflowError, ZeroDivisionError):
         # ZeroDivisionError: (a/pi)^(-1/2) once a/pi underflows to 0, or
@@ -921,18 +924,20 @@ def evaluate(
     transformation at m = 0.  Both sum n_max dual terms, or choose the
     count themselves when n_max is None.  A ``log`` is passed on to the
     route, which logs its terms there (the direct route logs none);
-    ``term_log`` is that log, or a fresh empty TermLog without one.
+    ``term_log`` is that log, or the shared read-only EMPTY_LOG
+    without one.
     """
     if method is _GENERIC:
         return eval_generic(spec, policy, log=log)
     if method is _DIRECT:
         res = direct_sum(spec, eps)
+        # value, method, terms_used, err_estimate, term_log
         return Evaluation(
-            value=res.value,
-            method=_DIRECT,
-            terms_used={"n_direct": res.n_terms},
-            err_estimate=res.noise_floor(),
-            term_log=TermLog() if log is None else log,
+            res.value,
+            _DIRECT,
+            {"n_direct": res.n_terms},
+            res.noise_floor(),
+            EMPTY_LOG if log is None else log,
         )
     if method is _EVEN_TRANSFORM:
         kind, m = classify_exponent(spec.w)

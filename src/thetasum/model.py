@@ -25,6 +25,7 @@ __all__ = [
     "TruncationPolicy",
     "MethodChoice",
     "TermLog",
+    "EMPTY_LOG",
     "Evaluation",
 ]
 
@@ -97,18 +98,27 @@ class MethodChoice(enum.Enum):
 
 class _Mutable:
     # a mutable record: the repr shows each slot not named with a
-    # leading underscore, equality compares every slot, no hash
+    # leading underscore, equality compares every slot, no hash.  A
+    # subclass that declares no slot of its own stays a record of its
+    # base, ``_record``: it compares and prints as one
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._record = cls
+
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        record = self._record
+        if not isinstance(other, _Mutable) or other._record is not record:
             return NotImplemented
-        key = operator.attrgetter(*self.__slots__)
+        key = operator.attrgetter(*record.__slots__)
         return key(self) == key(other)
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
-        return f"{type(self).__qualname__}({', '.join(shown)})"
+        record = self._record
+        shown = (f"{n}={getattr(self, n)!r}" for n in record.__slots__ if n[0] != "_")
+        return f"{record.__qualname__}({', '.join(shown)})"
 
 
 class TermLog(_Mutable):
@@ -156,6 +166,26 @@ class TermLog(_Mutable):
         return [(i, m) for s, i, m in self.entries if s == name]
 
 
+class _EmptyLog(TermLog):
+    # the type of EMPTY_LOG, a TermLog that refuses every write
+    __slots__ = ()
+
+    def extend(self, *args) -> None:
+        raise TypeError(
+            "EMPTY_LOG, the term_log of every evaluation made without a log, "
+            "is shared and read-only; pass log=TermLog() to record terms"
+        )
+
+    log = extend
+
+
+#: The ``term_log`` of every evaluation made without a log: one shared,
+#: empty TermLog whose ``log`` and ``extend`` raise TypeError, so no
+#: call allocates a log it would not write.  It equals, and prints as,
+#: ``TermLog()``.
+EMPTY_LOG = _EmptyLog()
+
+
 class Evaluation(_Mutable):
     """A computed value with its method tag and truncation diagnostics.
 
@@ -166,8 +196,8 @@ class Evaluation(_Mutable):
     ``near_odd_warning`` flags non-integer exponents within 0.05 of an
     odd integer, where the generic expansion suffers pole cancellation
     and accuracy guarantees are void.  ``term_log`` is the TermLog the
-    caller passed to the route, holding the terms it computed, or a
-    fresh empty one when no log was passed.
+    caller passed to the route, holding the terms it computed, or the
+    shared read-only EMPTY_LOG when no log was passed.
 
     A record is refused with DomainError when its value is not finite
     (``cmath.isfinite``, which takes a float as it is), its estimate is

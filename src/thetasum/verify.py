@@ -75,17 +75,9 @@ def _pochhammer(x: float, j: int) -> float:
     return acc
 
 
-def _inv_factorial_coeff(m: int, j: int) -> float:
-    # tail-factor coefficient (m)_j (m+1/2)_j / j!, products and the
-    # factorial interleaved so intermediates stay bounded by the result
-    acc = 1.0
-    for i in range(j):
-        acc *= (m + i) * (m + 0.5 + i) / (i + 1.0)
-    return acc
-
-
 def _inv_factorial_coeff_doubled(m: int, j: int) -> float:
-    # the same coefficient through the closed form 2^(-2j) (2m)_{2j} / j!
+    # the tail-factor coefficient (m)_j (m+1/2)_j / j! through the
+    # closed form 2^(-2j) (2m)_{2j} / j!
     acc = 1.0
     for i in range(j):
         acc *= (2 * m + 2 * i) * (2 * m + 2 * i + 1) / (4.0 * (i + 1.0))
@@ -236,7 +228,10 @@ def _literal_quadratic(a: float, terms: int, n_max: int) -> float:
     head = math.pi**2 / 6.0 + a / 2.0 - math.sqrt(math.pi * a)
     tail = 0.0
     for n in range(1, n_max + 1):
-        ups = sum(_pochhammer(1.5, j) * (-a / (math.pi**2 * n * n)) ** j for j in range(terms))
+        # left to right: sum() compensates over floats from 3.12 on
+        ups = 0.0
+        for j in range(terms):
+            ups += _pochhammer(1.5, j) * (-a / (math.pi**2 * n * n)) ** j
         tail += math.exp(-math.pi**2 * n * n / a) / (n * n) * ups
     return head - (a / math.pi) ** 1.5 * tail
 
@@ -251,11 +246,13 @@ def _literal_quartic(a: float, terms: int, n_max: int) -> float:
     )
     tail = 0.0
     for n in range(1, n_max + 1):
-        ups = sum(
-            _pochhammer(2.5, j) * _pochhammer(2, j) / math.factorial(j)
-            * (-a / (math.pi**2 * n * n)) ** j
-            for j in range(terms)
-        )
+        # left to right: sum() compensates over floats from 3.12 on
+        ups = 0.0
+        for j in range(terms):
+            ups += (
+                _pochhammer(2.5, j) * _pochhammer(2, j) / math.factorial(j)
+                * (-a / (math.pi**2 * n * n)) ** j
+            )
         tail += math.exp(-math.pi**2 * n * n / a) / n**4 * ups
     return head + (a / math.pi) ** 3.5 * tail
 

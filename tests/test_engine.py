@@ -40,13 +40,14 @@ from thetasum import (
 )
 from thetasum import engine
 from thetasum.engine import singular_term, tail_factor
+from thetasum.model import EMPTY_LOG
 from thetasum.reference import W4_ROWS, ReferenceRow
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
 from thetasum.verify import (
     CheckResult,
-    _inv_factorial_coeff,
     _literal_quadratic,
     _literal_quartic,
+    _pochhammer,
     remainder_slope,
 )
 
@@ -448,7 +449,8 @@ def test_tail_factor_partial_sum_matches_coefficients():
     a, m, n = 0.8, 2, 1
     value, _, _ = tail_factor(a, m, n, Fixed(4))
     x = -a / (math.pi**2 * n * n)
-    brute = sum(_inv_factorial_coeff(m, j) * x**j for j in range(4))
+    # c_j = (m)_j (m+1/2)_j / j! from its definition
+    brute = sum(_pochhammer(m, j) * _pochhammer(m + 0.5, j) / math.factorial(j) * x**j for j in range(4))
     assert value == pytest.approx(brute, rel=1e-14)
 
 
@@ -909,6 +911,14 @@ def test_no_log_means_no_log_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a TermLog write on the path without a log")
 
+    made = []
+    init = TermLog.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TermLog, "__init__", counting_init)
     monkeypatch.setattr(TermLog, "extend", refuse)
     monkeypatch.setattr(TermLog, "log", refuse)
     outcomes = _log_grid_outcomes(lambda: None)
@@ -916,8 +926,35 @@ def test_no_log_means_no_log_work(monkeypatch):
     # each refusal of the grid is among the outcomes
     for name in ("EvenExponentError", "MismatchError", "PrecisionError", "ConvergenceError"):
         assert any(name in line for line in outcomes), name
-    ev = eval_even(SumSpec(0.5, 4.0), 2)
-    assert isinstance(ev.term_log, TermLog) and ev.term_log.entries == []
+    # no log is made either: every route hands back the one shared empty log
+    for w, method in ((4.0, E), (1.5, G), (0.0, P), (1.5, D)):
+        assert evaluate(SumSpec(0.5, w), method).term_log is EMPTY_LOG, method
+    assert eval_even(SumSpec(0.5, 4.0), 2).term_log is EMPTY_LOG
+    assert eval_generic(SumSpec(0.5, 1.5)).term_log is EMPTY_LOG
+    assert made == [] and EMPTY_LOG.entries == []
+
+
+def test_the_shared_empty_log_is_read_only_and_equals_a_new_one():
+    assert isinstance(EMPTY_LOG, TermLog) and EMPTY_LOG.entries == []
+    for write in (lambda: EMPTY_LOG.log("k", 0, 1.0), lambda: EMPTY_LOG.extend("k", range(2), [1.0, 0.5])):
+        with pytest.raises(TypeError, match=r"pass log=TermLog\(\)"):
+            write()
+    assert EMPTY_LOG.entries == []
+    # it compares and prints as TermLog(), either side of ==
+    assert EMPTY_LOG == TermLog() and TermLog() == EMPTY_LOG and not EMPTY_LOG != TermLog()
+    assert EMPTY_LOG != _log3() and _log3() != EMPTY_LOG
+    assert repr(EMPTY_LOG) == "TermLog(entries=[])"
+    with pytest.raises(TypeError):
+        hash(EMPTY_LOG)
+    # so an unlogged evaluation equals one built by hand with TermLog()
+    for w, method in ((1.5, G), (2.98, G), (4.0, E), (0.0, P), (2.5, D)):
+        ev = evaluate(SumSpec(0.3, w), method)
+        fields = (ev.value, ev.method, ev.terms_used, ev.err_estimate)
+        by_hand = Evaluation(*fields, TermLog(), ev.near_odd_warning)
+        assert ev == by_hand and by_hand == ev and repr(ev) == repr(by_hand), method
+    # a logged evaluation holds its own log, which stays writable
+    log = TermLog()
+    assert evaluate(SumSpec(0.05, 1.5), G, log=log).term_log is log and log.entries
 
 
 def test_a_log_changes_no_value_estimate_count_or_refusal():
@@ -1058,6 +1095,23 @@ def test_table1_path_calls_through_the_engine_names(monkeypatch):
         counts.update(tail_factor=0, direct_sum=0)
         evaluate(spec, MethodChoice.DIRECT)
         assert counts == {"tail_factor": 0, "direct_sum": 1}, row
+
+
+def test_generic_path_calls_through_the_engine_names(monkeypatch):
+    # a profiler that rebinds engine.singular_term and engine.eval_generic
+    # sees each layer of the generic route: one call of each per evaluation
+    counts = dict.fromkeys(("singular_term", "eval_generic"), 0)
+    for name in counts:
+
+        def counting(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+    for spec in (SumSpec(0.05, 1.5), SumSpec(0.3 + 0.2j, 3.0), SumSpec(0.1, 2.98), SumSpec(1.0, 0.5)):
+        counts.update(singular_term=0, eval_generic=0)
+        evaluate(spec, MethodChoice.GENERIC)
+        assert counts == {"singular_term": 1, "eval_generic": 1}, spec
 
 
 def test_memo_misses_go_through_engine_names(monkeypatch, clear_memos):

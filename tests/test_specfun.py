@@ -28,7 +28,7 @@ from thetasum.specfun import (
 from thetasum.verify import (
     _bernoulli_even,
     _gamma_recurrence_worst,
-    _inv_factorial_coeff,
+    _inv_factorial_coeff_doubled,
     _pochhammer,
 )
 
@@ -313,13 +313,27 @@ def test_pochhammer_basics():
         assert _pochhammer(1.0, j) == pytest.approx(math.factorial(j), rel=1e-14)
 
 
+def _inv_factorial_coeff(m, j):
+    # tail-factor coefficient (m)_j (m+1/2)_j / j!, products and the
+    # factorial interleaved so intermediates stay bounded by the result
+    acc = 1.0
+    for i in range(j):
+        acc *= (m + i) * (m + 0.5 + i) / (i + 1.0)
+    return acc
+
+
 def test_coeff_leading_and_spot_values():
     for m in (1, 2, 5):
         assert _inv_factorial_coeff(m, 0) == 1.0
+        assert _inv_factorial_coeff_doubled(m, 0) == 1.0
     # the m = 1 coefficients reduce to the single rising factorial (3/2)_j
     for j in range(12):
         assert rel(_inv_factorial_coeff(1, j), _pochhammer(1.5, j)) < 1e-13
     assert _inv_factorial_coeff(2, 1) == pytest.approx(5.0, rel=1e-14)
+    # verify's closed form 2^(-2j) (2m)_{2j} / j! is the same coefficient
+    for m in (1, 2, 5, 9):
+        for j in range(12):
+            assert rel(_inv_factorial_coeff_doubled(m, j), _inv_factorial_coeff(m, j)) < 1e-13
 
 
 # ----------------------------------------------------------------------
