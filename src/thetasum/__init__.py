@@ -1,32 +1,24 @@
 """Gaussian-damped Dirichlet sums S(a; w) = sum_{n>=1} exp(-a n^2) / n^w.
 
 Four routes for Re(a) > 0 and real w >= 0: the direct-summation oracle
-with a rigorous tail bound (``direct_sum``), the generic small-a
-expansion (``eval_generic``), the even-exponent Poisson-Jacobi-type
-transformation (``eval_even``) and the classical identity at w = 0;
-``evaluate`` dispatches on a ``MethodChoice`` and is the one entry to
-the classical identity.  The package exports the routes, the model
-types, the oracle and the errors; the kernels stay in
-``thetasum.engine`` and ``thetasum.specfun``, and the cross-checks,
-``remainder_slope`` among them, in ``thetasum.verify``.
+with a rigorous tail bound, the generic small-a expansion, the
+even-exponent Poisson-Jacobi-type transformation and the classical
+identity at w = 0.  ``evaluate`` is the one public way to reach a
+route: it dispatches on a ``MethodChoice`` and raises DomainError when
+the chosen route does not take w.  The package exports ``evaluate``,
+the model types, the oracle (``direct_sum``) and the errors; the
+routes' own functions and the kernels stay in ``thetasum.engine`` and
+``thetasum.specfun``, and the cross-checks, ``remainder_slope`` among
+them, in ``thetasum.verify``.
 """
 
-from .engine import eval_even, eval_generic, evaluate
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EvenExponentError,
-    MismatchError,
-    PoleError,
-    PrecisionError,
-    ThetaSumError,
-)
+from .engine import evaluate
+from .errors import ConvergenceError, DomainError, PrecisionError, ThetaSumError
 from .model import (
     OPTIMAL,
     Evaluation,
     Fixed,
     MethodChoice,
-    OptimalFirstMin,
     SumSpec,
     TermLog,
     TruncationPolicy,
@@ -40,7 +32,6 @@ __all__ = [
     # model
     "SumSpec",
     "Fixed",
-    "OptimalFirstMin",
     "OPTIMAL",
     "TruncationPolicy",
     "MethodChoice",
@@ -49,16 +40,11 @@ __all__ = [
     # oracle
     "OracleResult",
     "direct_sum",
-    # routes
+    # route
     "evaluate",
-    "eval_generic",
-    "eval_even",
     # errors
     "ThetaSumError",
     "DomainError",
-    "PoleError",
-    "EvenExponentError",
-    "MismatchError",
     "ConvergenceError",
     "PrecisionError",
 ]

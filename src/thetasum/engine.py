@@ -19,7 +19,8 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   evaluate(..., MethodChoice.CLASSICAL_PJ) runs it in the same loop.
 
 Which route fits an exponent is decided in one place,
-``classify_exponent``: w is even, odd, near odd, or none of these.
+``classify_exponent``: w is even, odd, near odd, or none of these.  A
+route handed an exponent it does not take raises DomainError.
 
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
@@ -83,12 +84,7 @@ import sys
 import threading
 from typing import Iterable, Optional
 
-from .errors import (
-    DomainError,
-    EvenExponentError,
-    MismatchError,
-    PrecisionError,
-)
+from .errors import DomainError, PrecisionError
 from .model import (
     EMPTY_LOG,
     OPTIMAL,
@@ -407,7 +403,7 @@ def singular_term(spec: SumSpec) -> complex:
     if e.kind == ODD:
         return ((-a) ** e.m / math.factorial(e.m)) * (EULER_GAMMA - 0.5 * cmath.log(a) + e.const)
     if e.kind == EVEN:
-        raise EvenExponentError(f"w = {w} is an even integer; use the even-exponent transformation")
+        raise DomainError(f"w = {w} is an even integer; use the even-exponent transformation")
     return e.const * a ** ((w - 1.0) / 2.0)
 
 
@@ -768,7 +764,7 @@ def eval_even(
     _require_positive_int(m, "m")
     kind, m_w = classify_exponent(w)
     if kind != EVEN or m_w != m:
-        raise MismatchError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
+        raise DomainError(f"w = {w} is not the even integer 2m = {2 * m} within {INTEGER_TOL}")
     if 2 * m >= _MAX_EXP:
         # refused before the m + 1 k-terms are made, which could take
         # unbounded time: 2^(2m) is past binary64, and the first omitted
@@ -942,12 +938,10 @@ def evaluate(
     if method is _EVEN_TRANSFORM:
         kind, m = classify_exponent(spec.w)
         if kind != EVEN:
-            raise MismatchError(
-                f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}"
-            )
+            raise DomainError(f"EvenTransform requires w = 2m for integer m >= 1, got w = {spec.w}")
         return eval_even(spec, m, policy, n_max, log=log)
     if method is _CLASSICAL_PJ:
         if abs(spec.w) > INTEGER_TOL:
-            raise MismatchError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
+            raise DomainError(f"ClassicalPJ requires w = 0, got w = {spec.w}")
         return _even_transform(spec.a, 0, policy, n_max, log)
     raise DomainError(f"unknown method {method!r}")

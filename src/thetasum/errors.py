@@ -6,23 +6,16 @@ class ThetaSumError(Exception):
 
 
 class DomainError(ThetaSumError):
-    """An argument lies outside an operation's domain."""
+    """An argument lies outside an operation's domain.
+
+    This covers an exponent that the chosen route does not take: an even
+    integer w on the generic route, a w that is not 2m on the even
+    transformation, and a nonzero w on the classical identity.
+    """
 
 
 class PoleError(ThetaSumError):
     """Evaluation was requested at (or indistinguishably close to) a pole."""
-
-
-class EvenExponentError(ThetaSumError):
-    """The exponent is an even integer; the generic expansion does not apply.
-
-    Callers must switch to the even-exponent transformation, whose
-    algebraic part terminates and which carries the exponential tail.
-    """
-
-
-class MismatchError(ThetaSumError):
-    """The exponent does not match the integer form required by a method."""
 
 
 class ConvergenceError(ThetaSumError):
@@ -35,4 +28,10 @@ class ConvergenceError(ThetaSumError):
 
 
 class PrecisionError(ThetaSumError):
-    """The requested quantity sits below the binary64 noise floor."""
+    """The result cannot be carried in binary64.
+
+    Mostly an overflow: a series sum, m!, 2^(2m), n^w or an error
+    estimate that is not finite.  Also an underflow that leaves the
+    transformation dividing by zero, and a remainder that sits below the
+    binary64 noise floor.
+    """

@@ -22,7 +22,7 @@ from .engine import (
     evaluate,
     tail_factor,
 )
-from .errors import DomainError, EvenExponentError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .model import OPTIMAL, Fixed, MethodChoice, SumSpec, TermLog
 from .oracle import direct_sum
 from .reference import W4_ROWS
@@ -373,7 +373,7 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
         raise DomainError(f"remainder_slope requires a finite w > 0, got {w}")
     kind, _ = classify_exponent(w)
     if kind == EVEN:
-        raise EvenExponentError("remainder_slope requires w not an even integer")
+        raise DomainError("remainder_slope requires w not an even integer")
     _require_positive_int(N, "N")
     if not N > 0.5 * w + 0.5:
         raise DomainError(f"requires N > w/2 + 1/2 = {0.5 * w + 0.5}, got N = {N}")

@@ -118,6 +118,21 @@ def test_eval_near_odd_warning_shown(capsys):
     assert "warning" in out
 
 
+@pytest.mark.parametrize(
+    "method, w, message",
+    [
+        ("even", "1.5", "EvenTransform requires w = 2m for integer m >= 1, got w = 1.5"),
+        ("pj", "1", "ClassicalPJ requires w = 0, got w = 1.0"),
+        ("generic", "4", "w = 4.0 is an even integer; use the even-exponent transformation"),
+    ],
+)
+def test_eval_route_that_does_not_take_w_is_a_precondition(method, w, message, capsys):
+    rc, out, err = run(capsys, "eval", "--a", "0.5", "--w", w, "--method", method)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: precondition violated: {message}\n"
+
+
 def test_eval_bad_policy(capsys):
     rc, _, err = run(capsys, "eval", "--a", "1", "--w", "4", "--policy", "sloppy")
     assert rc == 2

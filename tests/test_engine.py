@@ -11,9 +11,11 @@ import cmath
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,24 +25,20 @@ import pytest
 from thetasum import (
     OPTIMAL,
     DomainError,
-    EvenExponentError,
     Evaluation,
     Fixed,
     MethodChoice,
-    MismatchError,
-    OptimalFirstMin,
     OracleResult,
     PrecisionError,
     SumSpec,
     TermLog,
     direct_sum,
-    eval_even,
-    eval_generic,
     evaluate,
 )
 from thetasum import engine
-from thetasum.engine import singular_term, tail_factor
-from thetasum.model import EMPTY_LOG
+from thetasum.engine import eval_even, eval_generic, singular_term, tail_factor
+from thetasum.errors import PoleError, ThetaSumError
+from thetasum.model import EMPTY_LOG, OptimalFirstMin
 from thetasum.reference import W4_ROWS, ReferenceRow
 from thetasum.specfun import EULER_GAMMA, digamma_int, gamma_real, zeta_real
 from thetasum.verify import (
@@ -116,9 +114,9 @@ def test_singular_term_w3_literal():
 
 
 def test_singular_term_guards():
-    with pytest.raises(EvenExponentError):
+    with pytest.raises(DomainError, match=r"^w = 4\.0 is an even integer; use the even-exponent transformation$"):
         singular_term(SumSpec(0.1, 4.0))
-    with pytest.raises(EvenExponentError):
+    with pytest.raises(DomainError, match=r"^w = 2\.0000000001 is an even integer; use the even-exponent"):
         singular_term(SumSpec(0.1, 2.0 + 1e-10))
     with pytest.raises(DomainError):
         singular_term(SumSpec(0.1, 0.0))
@@ -139,7 +137,7 @@ def test_generic_oracle_equivalence(w, a):
 
 
 def test_generic_even_exponent_guard():
-    with pytest.raises(EvenExponentError):
+    with pytest.raises(DomainError, match=r"^w = 4\.0 is an even integer; use the even-exponent transformation$"):
         eval_generic(SumSpec(0.1, 4.0))
 
 
@@ -223,9 +221,9 @@ def test_even_error_estimate_honesty(m, a):
 
 
 def test_even_mismatch_guard():
-    with pytest.raises(MismatchError):
+    with pytest.raises(DomainError, match=r"^w = 4\.0 is not the even integer 2m = 2 within 1e-09$"):
         eval_even(SumSpec(0.5, 4.0), 1)
-    with pytest.raises(MismatchError):
+    with pytest.raises(DomainError, match=r"^w = 4\.1 is not the even integer 2m = 4 within 1e-09$"):
         eval_even(SumSpec(0.5, 4.1), 2)
     with pytest.raises(DomainError):
         eval_even(SumSpec(0.5, 4.0), 0)
@@ -814,15 +812,37 @@ def test_dispatch_generic_matches_eval_generic():
 
 
 def test_dispatch_guards():
-    with pytest.raises(EvenExponentError):
+    with pytest.raises(DomainError, match=r"^w = 4\.0 is an even integer; use the even-exponent transformation$"):
         evaluate(SumSpec(1.0, 4.0), MethodChoice.GENERIC)
-    with pytest.raises(MismatchError):
+    with pytest.raises(DomainError, match=r"^EvenTransform requires w = 2m for integer m >= 1, got w = 1\.5$"):
         evaluate(SumSpec(1.0, 1.5), MethodChoice.EVEN_TRANSFORM)
-    with pytest.raises(MismatchError):
+    with pytest.raises(DomainError, match=r"^ClassicalPJ requires w = 0, got w = 1\.0$"):
         evaluate(SumSpec(1.0, 1.0), MethodChoice.CLASSICAL_PJ)
     # a method is a MethodChoice, not its value
     with pytest.raises(DomainError, match="unknown method 'generic'"):
         evaluate(SumSpec(1.0, 1.5), "generic")
+
+
+POLE_OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11, 1e-9, -1e-9, 2e-9, -2e-9)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pole_error_cannot_reach_evaluate(n):
+    # at and around every integer w, where gamma_real and zeta_real have
+    # their poles, each route answers or refuses with one of the package's
+    # errors, and never with PoleError, which is why it is not exported
+    outcomes = Counter()
+    for w in (n + d for d in POLE_OFFSETS if n + d >= 0.0):
+        for a in (1e-3, 0.3 + 0.2j, 2.0):
+            for method in MethodChoice:
+                for policy in (OPTIMAL, Fixed(3)):
+                    try:
+                        evaluate(SumSpec(a, w), method, policy)
+                        outcomes["answered"] += 1
+                    except ThetaSumError as exc:
+                        assert not isinstance(exc, PoleError), (a, w, method, policy, exc)
+                        outcomes[type(exc).__name__] += 1
+    assert outcomes["answered"] and outcomes["DomainError"], outcomes
 
 
 def test_dispatch_direct_wraps_oracle():
@@ -881,8 +901,8 @@ LOG_GRID = [
     *((SumSpec(a, w), E) for a in (0.01, 0.25, 0.5 + 0.3j, 1.0, 2.0) for w in (2.0, 4.0, 6.0)),
     *((SumSpec(a, 0.0), P) for a in (0.05, 0.7 + 0.4j, 3.0)),
     *((SumSpec(a, w), D) for a, w in ((0.8, 2.5), (0.3 + 0.2j, 4.0), (1e-30, 1.5))),
-    (SumSpec(1.0, 4.0), G),  # EvenExponentError
-    (SumSpec(1.0, 1.5), E),  # MismatchError
+    (SumSpec(1.0, 4.0), G),  # DomainError: an even w on the generic route
+    (SumSpec(1.0, 1.5), E),  # DomainError: a w that is not 2m on the even route
     (SumSpec(1e3, 700.5), G),  # PrecisionError: overflow
     (SumSpec(0.1, 343.0), G),  # PrecisionError: m! past binary64
     (SumSpec(0.5, 1100.0), E),  # PrecisionError: 2^(2m)
@@ -924,8 +944,14 @@ def test_no_log_means_no_log_work(monkeypatch):
     outcomes = _log_grid_outcomes(lambda: None)
     assert not any("AssertionError" in line for line in outcomes)
     # each refusal of the grid is among the outcomes
-    for name in ("EvenExponentError", "MismatchError", "PrecisionError", "ConvergenceError"):
-        assert any(name in line for line in outcomes), name
+    refusals = (
+        repr(("DomainError", "w = 4.0 is an even integer; use the even-exponent transformation")),
+        repr(("DomainError", "EvenTransform requires w = 2m for integer m >= 1, got w = 1.5")),
+        "('PrecisionError', ",
+        "('ConvergenceError', ",
+    )
+    for refusal in refusals:
+        assert any(refusal in line for line in outcomes), refusal
     # no log is made either: every route hands back the one shared empty log
     for w, method in ((4.0, E), (1.5, G), (0.0, P), (1.5, D)):
         assert evaluate(SumSpec(0.5, w), method).term_log is EMPTY_LOG, method
@@ -1018,7 +1044,7 @@ def test_remainder_slope_tracks_first_omitted_term():
 
 
 def test_remainder_slope_preconditions():
-    with pytest.raises(EvenExponentError):
+    with pytest.raises(DomainError, match=r"^remainder_slope requires w not an even integer$"):
         remainder_slope(4.0, 3, GRID)
     with pytest.raises(DomainError):
         remainder_slope(3.0, 2, GRID)  # needs N > w/2 + 1/2 = 2
@@ -1182,7 +1208,8 @@ def test_even_record_past_the_even_limit_costs_no_loop(w):
     # of m steps at w = 1e10 would take minutes
     start = time.perf_counter()
     e = engine._Exponent(w)
-    with pytest.raises(EvenExponentError):
+    message = f"w = {w} is an even integer; use the even-exponent transformation"
+    with pytest.raises(DomainError, match=re.escape(message)):
         eval_generic(SumSpec(0.5, w))
     assert time.perf_counter() - start < 1.0
     assert (e.kind, e.m) == (engine.EVEN, round(w / 2))
@@ -1727,12 +1754,12 @@ def test_evaluation_by_keyword():
 
 def test_public_surface():
     import thetasum
+    from thetasum import errors
 
     assert thetasum.__all__ == [
         "__version__",
         "SumSpec",
         "Fixed",
-        "OptimalFirstMin",
         "OPTIMAL",
         "TruncationPolicy",
         "MethodChoice",
@@ -1741,13 +1768,8 @@ def test_public_surface():
         "OracleResult",
         "direct_sum",
         "evaluate",
-        "eval_generic",
-        "eval_even",
         "ThetaSumError",
         "DomainError",
-        "PoleError",
-        "EvenExponentError",
-        "MismatchError",
         "ConvergenceError",
         "PrecisionError",
     ]
@@ -1764,8 +1786,37 @@ def test_public_surface():
         "classical_pj_rhs",
         "remainder_slope",
         "ErrorTarget",
+        "eval_generic",
+        "eval_even",
+        "OptimalFirstMin",
+        "PoleError",
+        "EvenExponentError",
+        "MismatchError",
     )
     assert not any(hasattr(thetasum, name) for name in removed)
+    # one class for an argument outside an operation's domain, a wrong route for w included
+    subclasses = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ThetaSumError) and obj is not errors.ThetaSumError
+    }
+    assert subclasses == {"DomainError", "PoleError", "ConvergenceError", "PrecisionError"}
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    # a figure quoted after a print is what it prints, to the digits quoted
+    quoted = 0
+    for line, out in zip(prints, printed):
+        if figure := re.search(r"# (\d\.(\d+)e-\d+)", line):
+            assert f"{float(out):.{len(figure.group(2))}e}" == figure.group(1), line
+            quoted += 1
+    assert quoted == 2
 
 
 def test_import_leaves_the_checks_dependencies_out():

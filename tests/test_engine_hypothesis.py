@@ -12,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from thetasum import MethodChoice, SumSpec, TermLog, direct_sum, eval_even, eval_generic, evaluate  # noqa: E402
+from thetasum import MethodChoice, SumSpec, TermLog, direct_sum, evaluate  # noqa: E402
+from thetasum.engine import eval_even, eval_generic  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from thetasum import SumSpec, eval_generic
+from thetasum import SumSpec
 from thetasum import engine
+from thetasum.engine import eval_generic
 
 mpmath = pytest.importorskip("mpmath")
 

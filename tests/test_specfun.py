@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from thetasum import DomainError, PoleError, specfun
+from thetasum import DomainError, specfun
+from thetasum.errors import PoleError
 from thetasum.specfun import (
     _EM_BERNOULLI,
     _EM_COEF,
