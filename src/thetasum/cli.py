@@ -1,5 +1,5 @@
-"""Command-line front end: a thin shell over ``engine.evaluate``,
-``engine.eval_even`` and ``oracle.direct_sum``.
+"""Command-line front end: a thin shell over ``engine.evaluate``, the
+one way it reaches a route, the direct sum included.
 
 Subcommands:
 
@@ -12,8 +12,9 @@ A method is ``auto`` or the value of a ``MethodChoice``; ``auto`` is
 the classical identity at w = 0, the even transformation at even
 integer w and the generic expansion otherwise.  Every input is
 checked before the first line of output is written, so a rejected
-input prints nothing and leaves no file.  A sweep sums each a's oracle
-once, and a ``direct`` row is that oracle.
+input prints nothing and leaves no file (``table1`` writes its CSV
+before it prints).  The oracle is the direct route; a sweep sums each
+a's oracle once, and a ``direct`` row is that oracle.
 
 Exit codes: 0 success, 1 failed verification check, 2 precondition
 violation, 3 direct summation infeasible, 4 unwritable output path.
@@ -29,9 +30,9 @@ import csv
 import math
 import sys
 import time
-from typing import Optional
+from typing import Optional, Union
 
-from .engine import EVEN, classify_exponent, eval_even, evaluate
+from .engine import EVEN, classify_exponent, evaluate
 from .errors import ConvergenceError, DomainError, PrecisionError, ThetaSumError
 from .model import (
     OPTIMAL,
@@ -42,7 +43,6 @@ from .model import (
     TermLog,
     TruncationPolicy,
 )
-from .oracle import OracleResult, direct_sum
 from .reference import W4_ROWS, ReferenceRow
 from .verify import SUITE_NAMES, run_suite
 
@@ -105,13 +105,13 @@ def _tail_j0(ev: Evaluation) -> dict[str, int]:
     return j0
 
 
-def _oracle(spec: SumSpec, eps: float) -> Optional[OracleResult]:
-    """The direct sum, or None where direct_sum refuses it at ``eps``:
-    too many terms, or a term's n^w past binary64."""
+def _oracle(spec: SumSpec, eps: float) -> Union[Evaluation, ConvergenceError, PrecisionError]:
+    """The direct route's Evaluation at ``eps``, or the refusal it
+    raised: too many terms, or a term's n^w past binary64."""
     try:
-        return direct_sum(spec, eps)
-    except (ConvergenceError, PrecisionError):
-        return None
+        return evaluate(spec, MethodChoice.DIRECT, eps=eps)
+    except (ConvergenceError, PrecisionError) as exc:
+        return exc
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +136,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if ev.near_odd_warning:
         print("warning       w is within 0.05 of an odd integer: expect cancellation,")
         print("              accuracy guarantees void in this band")
-    if ref is not None:
+    if isinstance(ref, Evaluation):
         print(f"oracle_re     {_g17(ref.value.real)}")
         print(f"oracle_im     {_g17(ref.value.imag)}")
-        print(f"oracle_noise  {ref.noise_floor():.6e}")
+        print(f"oracle_noise  {ref.err_estimate:.6e}")
         print(f"abs_error     {abs(ev.value - ref.value):.6e}")
-    elif method is not MethodChoice.DIRECT:
+    elif ref is not None:
         print("oracle        infeasible (direct summation refused at this eps)")
     return 0
 
@@ -172,18 +172,17 @@ def _select_rows(text: Optional[str]) -> list[ReferenceRow]:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     rows = _select_rows(args.rows)
-    header = f"{'a':>6}  {'S_direct':>10}  {'S_transform':>12}  {'abs_error':>10}  {'ref_error':>10}  {'j0':>4}  {'ref_j0':>6}  flag"
-    print(header)
+    lines = [f"{'a':>6}  {'S_direct':>10}  {'S_transform':>12}  {'abs_error':>10}  {'ref_error':>10}  {'j0':>4}  {'ref_j0':>6}  flag"]
     csv_rows = [["a", "s_direct", "s_transform", "abs_error", "ref_error", "j0", "ref_j0", "flag"]]
     for row in rows:
         spec = SumSpec(row.a, 4.0)
-        ref = direct_sum(spec)
-        ev = eval_even(spec, 2, OPTIMAL, n_max=1)
+        ref = evaluate(spec, MethodChoice.DIRECT)
+        ev = evaluate(spec, MethodChoice.EVEN_TRANSFORM, OPTIMAL, n_max=1)
         err = abs(ev.value - ref.value)
         # the n = 1 tail factor's last included index; no log needed
         j0 = ev.terms_used["j"] - 1
         flag = "ok" if row.reachable else "binary64-noise"
-        print(
+        lines.append(
             f"{row.a:>6.2f}  {ref.value.real:>10.6f}  {ev.value.real:>12.6f}  "
             f"{err:>10.3e}  {row.abs_err:>10.3e}  {j0:>4d}  {row.j0:>6d}  {flag}"
         )
@@ -199,9 +198,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                 flag,
             ]
         )
+    # the file first, so an unwritable path prints nothing
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows(csv_rows)
+    print("\n".join(lines))
     return 0
 
 
@@ -214,8 +215,8 @@ def _sweep_rows(
     spec: SumSpec, methods: list[MethodChoice], policy: TruncationPolicy, eps: float
 ) -> list[list[str]]:
     """The rows of one a, one per method in order, sharing one direct
-    sum: the first row made runs ``evaluate(spec, DIRECT)`` after its own
-    route, and a direct row is that Evaluation.  Where the direct sum is
+    sum: the first row made runs ``_oracle`` after its own route, and a
+    direct row is that Evaluation.  Where the direct sum is
     refused, a direct row raises the refusal again and the other rows
     leave the oracle column empty."""
     ref = None  # the direct Evaluation, or the refusal it raised
@@ -223,10 +224,7 @@ def _sweep_rows(
     for method in methods:
         ev = None if method is MethodChoice.DIRECT else evaluate(spec, method, policy, eps=eps)
         if ref is None:
-            try:
-                ref = evaluate(spec, MethodChoice.DIRECT, policy, eps=eps)
-            except (ConvergenceError, PrecisionError) as exc:
-                ref = exc
+            ref = _oracle(spec, eps)
         if ev is None:
             if isinstance(ref, Exception):
                 raise ref

@@ -18,9 +18,17 @@ Routes besides the direct oracle, all valid in the sector Re(a) > 0:
   Poisson-Jacobi identity for w = 0, exact, not asymptotic, and
   evaluate(..., MethodChoice.CLASSICAL_PJ) runs it in the same loop.
 
-Which route fits an exponent is decided in one place,
+``evaluate`` is the one way into a route; the CLI and ``verify`` reach
+the routes only through it.  ``eval_generic``, ``eval_even``,
+``singular_term`` and ``tail_factor`` stay module globals as the layer
+boundaries that perfbench's tracer rebinds to time each layer.
+
+Which route fits a w > 0 is decided in one place,
 ``classify_exponent``: w is even, odd, near odd, or none of these.  A
-route handed an exponent it does not take raises DomainError.
+route handed an exponent it does not take raises DomainError.  w = 0 is
+tested apart: ``evaluate``'s pj branch takes |w| <= INTEGER_TOL, while
+the CLI's ``auto`` picks pj at w == 0 only and generic for a w in
+(0, INTEGER_TOL].
 
 The k-sum and the tail-factor series diverge.  Each runs as one plain
 loop over local variables (no generator, no per-term function call)
@@ -60,7 +68,7 @@ and joins err_estimate by that bound (``eval_even``).
 
 Everything is pure and thread safe.  What depends on w alone is made
 once per exponent, into one ``_Exponent`` record, memoised in one
-fixed-size cache of _SINGULAR_MEMO exponents (``_exponent``,
+fixed-size cache of _EXPONENT_MEMO exponents (``_exponent``,
 functools.lru_cache, thread safe): w's class and m, classified once;
 the head constant, the singular term's Gamma or digamma constant or
 the even route's Gamma(1/2 - m); the k-sum's row (-1)^k zeta(w - 2k),
@@ -142,7 +150,7 @@ _ROUNDING = _ROUNDING_C * _EPS
 _FACTORIAL_MAX = 170
 
 # Exponents held by the per-exponent memo, ``_exponent``.
-_SINGULAR_MEMO = 256
+_EXPONENT_MEMO = 256
 
 # The largest m that tail_factor takes: past it 2m is not exact in
 # binary64, so the record of w = 2m may hold another m.
@@ -321,7 +329,7 @@ class _Exponent:
             return self.ratios
 
 
-@functools.lru_cache(maxsize=_SINGULAR_MEMO)
+@functools.lru_cache(maxsize=_EXPONENT_MEMO)
 def _exponent(w: float) -> _Exponent:
     return _Exponent(w)
 

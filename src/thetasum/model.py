@@ -98,27 +98,20 @@ class MethodChoice(enum.Enum):
 
 class _Mutable:
     # a mutable record: the repr shows each slot not named with a
-    # leading underscore, equality compares every slot, no hash.  A
-    # subclass that declares no slot of its own stays a record of its
-    # base, ``_record``: it compares and prints as one
+    # leading underscore, equality compares every slot, no hash
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if cls.__slots__:
-            cls._record = cls
-
     def __eq__(self, other):
-        record = self._record
-        if not isinstance(other, _Mutable) or other._record is not record:
+        cls = self.__class__
+        if other.__class__ is not cls:
             return NotImplemented
-        key = operator.attrgetter(*record.__slots__)
+        key = operator.attrgetter(*cls.__slots__)
         return key(self) == key(other)
 
     def __repr__(self) -> str:
-        record = self._record
-        shown = (f"{n}={getattr(self, n)!r}" for n in record.__slots__ if n[0] != "_")
-        return f"{record.__qualname__}({', '.join(shown)})"
+        cls = self.__class__
+        shown = (f"{n}={getattr(self, n)!r}" for n in cls.__slots__ if n[0] != "_")
+        return f"{cls.__qualname__}({', '.join(shown)})"
 
 
 class TermLog(_Mutable):
@@ -143,7 +136,13 @@ class TermLog(_Mutable):
     def extend(self, series: str, indices: Sequence[int], magnitudes: Sequence[float]) -> None:
         """Append one run of terms of ``series``, index i with magnitude
         m for each pair of ``indices`` and ``magnitudes``, checked by
-        the same rules as one ``log`` call per term."""
+        the same rules as one ``log`` call per term.  EMPTY_LOG refuses
+        every write with TypeError."""
+        if self is EMPTY_LOG:
+            raise TypeError(
+                "EMPTY_LOG, the term_log of every evaluation made without a log, "
+                "is shared and read-only; pass log=TermLog() to record terms"
+            )
         if len(indices) != len(magnitudes):
             raise ValueError("one magnitude per term index is required")
         if not indices:
@@ -166,24 +165,10 @@ class TermLog(_Mutable):
         return [(i, m) for s, i, m in self.entries if s == name]
 
 
-class _EmptyLog(TermLog):
-    # the type of EMPTY_LOG, a TermLog that refuses every write
-    __slots__ = ()
-
-    def extend(self, *args) -> None:
-        raise TypeError(
-            "EMPTY_LOG, the term_log of every evaluation made without a log, "
-            "is shared and read-only; pass log=TermLog() to record terms"
-        )
-
-    log = extend
-
-
 #: The ``term_log`` of every evaluation made without a log: one shared,
 #: empty TermLog whose ``log`` and ``extend`` raise TypeError, so no
-#: call allocates a log it would not write.  It equals, and prints as,
-#: ``TermLog()``.
-EMPTY_LOG = _EmptyLog()
+#: call allocates a log it would not write.
+EMPTY_LOG = TermLog()
 
 
 class Evaluation(_Mutable):

@@ -1,8 +1,11 @@
 """Runtime verification suite behind the ``verify`` CLI subcommand.
 
 Each check re-measures one of the package's standing invariants and
-compares it against its pinned bound.  The checks are deterministic
-(seeded randomness only) so repeated runs produce identical reports.
+compares it against its pinned bound.  The checks reach the routes only
+through ``engine.evaluate``, the tail factor too: its series is read
+from the log of an even evaluation with one dual term.  The checks are
+deterministic (seeded randomness only) so repeated runs produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -17,13 +20,10 @@ from .engine import (
     _complex_fsum,
     _require_positive_int,
     classify_exponent,
-    eval_even,
-    eval_generic,
     evaluate,
-    tail_factor,
 )
 from .errors import DomainError, PrecisionError
-from .model import OPTIMAL, Fixed, MethodChoice, SumSpec, TermLog
+from .model import OPTIMAL, Fixed, MethodChoice, SumSpec, TermLog, TruncationPolicy
 from .oracle import direct_sum
 from .reference import W4_ROWS
 from .specfun import digamma_int, gamma_real, zeta_real
@@ -104,6 +104,14 @@ def _gamma_recurrence_worst(seed: int) -> float:
     return worst
 
 
+def _tail_series(a: float, m: int, policy: TruncationPolicy) -> tuple[list[float], int]:
+    """The magnitudes of the n = 1 tail factor's terms at a, w = 2m, the
+    first omitted one included, and its count of included terms."""
+    log = TermLog()
+    ev = evaluate(SumSpec(a, 2.0 * m), MethodChoice.EVEN_TRANSFORM, policy, n_max=1, log=log)
+    return [mag for _, mag in log.series("j[n=1]")], ev.terms_used["j"]
+
+
 def checks_specfun() -> list[CheckResult]:
     out: list[CheckResult] = []
 
@@ -132,9 +140,8 @@ def checks_specfun() -> list[CheckResult]:
     worst = 0.0
     for m in range(1, 6):
         # the engine's tail-factor terms c_j x^j, |x| = 1/pi^2 at a = 1
-        log = TermLog()
-        tail_factor(1.0, m, 1, Fixed(31), log=log)
-        for j, mag in log.series("j[n=1]")[:31]:
+        mags, _ = _tail_series(1.0, m, Fixed(31))
+        for j, mag in enumerate(mags[:31]):
             c = _inv_factorial_coeff_doubled(m, j)
             worst = max(worst, abs(mag * (math.pi * math.pi) ** j - c) / c)
     out.append(_check("specfun", "coefficient two-form equality", worst, "rel <= 1e-12", worst <= 1e-12))
@@ -264,7 +271,7 @@ def checks_engine() -> list[CheckResult]:
     for w in (0.5, 1.0, 1.5, 2.5, 3.0, 5.25):
         for a in (0.01, 0.05, 0.1):
             spec = SumSpec(a, w)
-            err = abs(eval_generic(spec, OPTIMAL).value - direct_sum(spec).value)
+            err = abs(evaluate(spec, MethodChoice.GENERIC, OPTIMAL).value - direct_sum(spec).value)
             worst = max(worst, err)
     out.append(_check("engine", "generic oracle equivalence (18-point grid)", worst, "abs <= 1e-11", worst <= 1e-11))
 
@@ -273,7 +280,7 @@ def checks_engine() -> list[CheckResult]:
     for m in (1, 2, 3):
         for a in (0.5, 1.0, 2.0):
             spec = SumSpec(a, 2.0 * m)
-            ev = eval_even(spec, m, OPTIMAL)
+            ev = evaluate(spec, MethodChoice.EVEN_TRANSFORM, OPTIMAL)
             err = abs(ev.value - direct_sum(spec).value)
             bound = 10.0 * ev.err_estimate
             ok = ok and err <= bound
@@ -293,8 +300,8 @@ def checks_engine() -> list[CheckResult]:
     worst = 0.0
     for a in (0.5, 1.0):
         for terms in (1, 3, 5):
-            e1 = eval_even(SumSpec(a, 2.0), 1, Fixed(terms), n_max=5)
-            e2 = eval_even(SumSpec(a, 4.0), 2, Fixed(terms), n_max=5)
+            e1 = evaluate(SumSpec(a, 2.0), MethodChoice.EVEN_TRANSFORM, Fixed(terms), n_max=5)
+            e2 = evaluate(SumSpec(a, 4.0), MethodChoice.EVEN_TRANSFORM, Fixed(terms), n_max=5)
             worst = max(worst, abs(e1.value - _literal_quadratic(a, terms, 5)) / abs(e1.value))
             worst = max(worst, abs(e2.value - _literal_quartic(a, terms, 5)) / abs(e2.value))
     out.append(_check("engine", "specialization vs literal m=1,2 forms", worst, "rel <= 1e-13", worst <= 1e-13))
@@ -303,14 +310,13 @@ def checks_engine() -> list[CheckResult]:
     for theta in (-1.2, -0.6, 0.0, 0.6, 1.2):
         a = 0.5 * cmath.exp(1j * theta)
         spec = SumSpec(a, 4.0)
-        worst = max(worst, abs(eval_even(spec, 2, OPTIMAL).value - direct_sum(spec).value))
+        ev = evaluate(spec, MethodChoice.EVEN_TRANSFORM, OPTIMAL)
+        worst = max(worst, abs(ev.value - direct_sum(spec).value))
     out.append(_check("engine", "sector validity |arg a| <= 1.2", worst, "abs <= 1e-9", worst <= 1e-9))
 
     ok = True
     for a, m in ((0.5, 1), (1.0, 2), (0.25, 2), (2.0, 3)):
-        log = TermLog()
-        _, j_used, _ = tail_factor(a, m, 1, OPTIMAL, log=log)
-        mags = [mag for _, mag in log.series("j[n=1]")]
+        mags, j_used = _tail_series(a, m, OPTIMAL)
         j0 = j_used - 1
         is_min = (j0 + 1 < len(mags) and mags[j0] <= mags[j0 + 1]) and (
             j0 == 0 or mags[j0] < mags[j0 - 1]
@@ -318,26 +324,24 @@ def checks_engine() -> list[CheckResult]:
         ok = ok and is_min
     out.append(_check("engine", "least-term index is a log local minimum", 1.0 if ok else 0.0, "local min", ok))
 
-    errs = []
-    for a in (0.75, 1.0, 1.5, 2.0):
-        spec = SumSpec(a, 4.0)
-        errs.append(abs(eval_even(spec, 2, OPTIMAL, n_max=1).value - direct_sum(spec).value))
-    monotone = all(errs[i] <= errs[i + 1] for i in range(len(errs) - 1))
-    out.append(_check("engine", "monotone error degradation in a (m=2)", max(errs), "non-decreasing", monotone))
-
     worst_gap = 0
     factor_ok = True
     noise_ok = True
+    errs = []  # at the rows a = 0.75 .. 2.00, for the monotone check
     for row in W4_ROWS:
         spec = SumSpec(row.a, 4.0)
-        ev = eval_even(spec, 2, OPTIMAL, n_max=1)
+        ev = evaluate(spec, MethodChoice.EVEN_TRANSFORM, OPTIMAL, n_max=1)
         err = abs(ev.value - direct_sum(spec).value)
+        if row.a >= 0.75:
+            errs.append(err)
         j0 = ev.terms_used["j"] - 1
         worst_gap = max(worst_gap, abs(j0 - row.j0))
         if row.reachable:
             factor_ok = factor_ok and (0.5 <= err / row.abs_err <= 2.0)
         else:
             noise_ok = noise_ok and err <= 1e-13
+    monotone = all(errs[i] <= errs[i + 1] for i in range(len(errs) - 1))
+    out.append(_check("engine", "monotone error degradation in a (m=2)", max(errs), "non-decreasing", monotone))
     out.append(_check("engine", "w=4 least-term index vs reference", worst_gap, "within +-2", worst_gap <= 2))
     out.append(_check("engine", "w=4 reachable-row errors vs reference", 1.0 if factor_ok else 0.0, "within factor 2", factor_ok))
     out.append(_check("engine", "w=4 unreachable rows at oracle resolution", 1.0 if noise_ok else 0.0, "abs <= 1e-13", noise_ok))
@@ -393,7 +397,7 @@ def remainder_slope(w: float, N: int, a_grid: list[float]) -> float:
     for a in grid:
         spec = SumSpec(a, w)
         ref = direct_sum(spec, 1e-16)
-        remainder = abs(ref.value - eval_generic(spec, below_n).value)
+        remainder = abs(ref.value - evaluate(spec, MethodChoice.GENERIC, below_n).value)
         floor = 1e2 * ref.noise_floor()
         if remainder < floor:
             raise PrecisionError(

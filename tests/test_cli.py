@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-import thetasum.cli
 import thetasum.engine
 import thetasum.verify
 from thetasum import SumSpec, direct_sum
@@ -282,6 +281,13 @@ def test_table1_csv_output(tmp_path, capsys):
     assert len(rows) == 9
 
 
+def test_table1_unwritable_path(capsys):
+    rc, out, err = run(capsys, "table1", "--rows", "2.00", "--csv", "/nonexistent-dir/x.csv")
+    assert rc == 4
+    assert out == ""
+    assert "cannot write" in err
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -339,10 +345,11 @@ def test_sweep_round_trip_17_digits(tmp_path, capsys):
 
 
 def test_sweep_unwritable_path(capsys):
-    rc, _, err = run(
+    rc, out, err = run(
         capsys, "sweep", "--a", "1.0", "--w", "4", "--out", "/nonexistent-dir/x.csv"
     )
     assert rc == 4
+    assert out == ""
     assert "cannot write" in err
 
 
@@ -385,7 +392,6 @@ def test_sweep_direct_row_sums_once(tmp_path, capsys, monkeypatch):
         calls.append(spec.a)
         return real(spec, eps)
 
-    monkeypatch.setattr(thetasum.cli, "direct_sum", counting)
     monkeypatch.setattr(thetasum.engine, "direct_sum", counting)
     target = tmp_path / "s.csv"
     # methods, w, the indices of the direct rows
@@ -466,12 +472,14 @@ def _scaled(original, rel):
     return mutant
 
 
-# one fault per family of checks, planted in a name thetasum.verify calls:
-# name -> (relative fault of its value, the (suite, check) pairs that
-# fail, in report order).  remainder_slope sums through verify's
-# eval_generic, so a generic fault fails two appendix checks as well.
+# one fault per family of checks, planted in a name that thetasum.verify
+# calls, or in a route that its calls of evaluate reach in thetasum.engine:
+# name -> (module, relative fault of its value, the (suite, check) pairs
+# that fail, in report order).  remainder_slope sums through evaluate's
+# generic route, so a generic fault fails two appendix checks as well.
 VERIFY_MUTANTS = {
     "eval_generic": (
+        thetasum.engine,
         lambda spec: 1e-9,
         [
             ("engine", "generic oracle equivalence (18-point grid)"),
@@ -479,16 +487,24 @@ VERIFY_MUTANTS = {
             ("appendix", "noise-floor guard raises (w=1.3, N=8)"),
         ],
     ),
-    "eval_even": (lambda spec: 1e-8 if spec.a.imag else 0.0, [("engine", "sector validity |arg a| <= 1.2")]),
-    "zeta_real": (lambda s: 1e-12, [("specfun", "zeta(2), zeta(4) closed forms")]),
-    "direct_sum": (lambda spec: -1e-4 if spec.a.real < 1e-3 else 0.0, [("oracle", "zeta limit w=6, a=1e-6")]),
+    "eval_even": (
+        thetasum.engine,
+        lambda spec: 1e-8 if spec.a.imag else 0.0,
+        [("engine", "sector validity |arg a| <= 1.2")],
+    ),
+    "zeta_real": (thetasum.verify, lambda s: 1e-12, [("specfun", "zeta(2), zeta(4) closed forms")]),
+    "direct_sum": (
+        thetasum.verify,
+        lambda spec: -1e-4 if spec.a.real < 1e-3 else 0.0,
+        [("oracle", "zeta limit w=6, a=1e-6")],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_MUTANTS))
 def test_verify_names_the_check_a_fault_breaks(capsys, monkeypatch, name):
-    rel, checks = VERIFY_MUTANTS[name]
-    monkeypatch.setattr(thetasum.verify, name, _scaled(getattr(thetasum.verify, name), rel))
+    module, rel, checks = VERIFY_MUTANTS[name]
+    monkeypatch.setattr(module, name, _scaled(getattr(module, name), rel))
     rc, out, _ = run(capsys, "verify", "--suite", "all")
     assert rc == 1
     fails = fail_lines(out)

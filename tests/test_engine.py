@@ -7,6 +7,7 @@ grid, error-estimate honesty and the specialization fixtures are
 asserted both there and here.
 """
 
+import ast
 import cmath
 import math
 import os
@@ -156,8 +157,10 @@ def test_generic_err_estimate_is_least_logged_term():
     spec = SumSpec(0.05, 1.5)
     ev = eval_generic(spec, OPTIMAL, log=TermLog())
     mags = [m for _, m in ev.term_log.series("k")]
-    kept = [abs(singular_term(spec)), *mags[: ev.terms_used["k"]]]
-    rounding = engine._ROUNDING_C * sys.float_info.epsilon * sum(kept)
+    abs_kept = abs(singular_term(spec))
+    for mag in mags[: ev.terms_used["k"]]:
+        abs_kept += mag  # left to right, as the engine adds
+    rounding = engine._ROUNDING_C * sys.float_info.epsilon * abs_kept
     assert ev.err_estimate == min(mags) + rounding
 
 
@@ -583,7 +586,10 @@ def _reference_generic(spec, policy):
 
     kept = [singular_term(spec)]
     added, least, last = _reference_truncate(terms(), policy, engine._K_CAP, kept, rel_floor=engine._REL_FLOOR)
-    rounding = engine._ROUNDING_C * sys.float_info.epsilon * sum(map(abs, kept))
+    abs_kept = 0.0
+    for term in kept:
+        abs_kept += abs(term)  # left to right, as the engine adds
+    rounding = engine._ROUNDING_C * sys.float_info.epsilon * abs_kept
     return engine._complex_fsum(kept), {"k": added}, (last if least is None else abs(least)) + rounding, log.entries
 
 
@@ -1849,3 +1855,51 @@ def test_cli_import_leaves_dataclasses_and_fractions_out():
     loaded = set(out.split())
     assert "thetasum.cli" in loaded
     assert not {"dataclasses", "inspect", "fractions", "decimal", "random"} & loaded
+
+
+def _calls(source, name):
+    # (enclosing function, line) of each call of the bare name ``name``
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+ROOT = Path(__file__).parents[1]
+PACKAGE = sorted((ROOT / "src" / "thetasum").glob("*.py"))
+
+
+def test_no_float_value_path_sums_with_the_builtin_sum():
+    # sum() compensates over floats from CPython 3.12 on, so a value it
+    # added would depend on the Python version; digamma_int's terms are ints
+    assert _calls("def f(x):\n    return g(sum(x))\n", "sum") == [("f", 2)]
+    modules = [*PACKAGE, *sorted((ROOT / "tools").glob("*.py"))]
+    assert len(modules) > len(PACKAGE) > 5
+    calls = [
+        (path.relative_to(ROOT).as_posix(), where, line)
+        for path in modules
+        for where, line in _calls(path.read_text(), "sum")
+    ]
+    assert [call for call in calls if call[:2] != ("src/thetasum/specfun.py", "digamma_int")] == []
+
+
+def test_only_the_engine_calls_a_route_function():
+    # the package reaches a route through evaluate; the route functions
+    # stay module globals of engine for the benchmark's tracer
+    for path in PACKAGE:
+        if path.name != "engine.py":
+            for name in ("eval_generic", "eval_even", "tail_factor"):
+                assert _calls(path.read_text(), name) == [], (path.name, name)
+    cli = ast.parse((ROOT / "src" / "thetasum" / "cli.py").read_text())
+    assert not [
+        node for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oracle")
+    ]
